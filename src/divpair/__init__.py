@@ -10,6 +10,7 @@ from .curve import (
     abel_jacobi_sum,
     green_divisor,
     green_kernel,
+    kernel_matrix,
     theta1,
     theta1_log_derivative,
 )

@@ -25,7 +25,7 @@ from .grammar import (
     parse_divisor,
     parse_rational_function_spec,
 )
-from .mvf import is_principal
+from .mvf import JACOBI_LATTICE_TOL, PERIOD_TOL, is_principal
 from .pairing import (
     FORMULAS,
     RationalFunctionData,
@@ -191,7 +191,8 @@ def _cmd_pairing(args) -> int:
     exponents = [r.exponent for r in results.values()]
     discrepancy = max(exponents) - min(exponents) if len(exponents) > 1 else 0.0
     primary = results[formulas[-1]]
-    status = "pass" if discrepancy <= FORMULA_AGREEMENT_TOL * tolerance_scale() else "fail"
+    agreement_tol = FORMULA_AGREEMENT_TOL * tolerance_scale()
+    status = "pass" if discrepancy <= agreement_tol else "fail"
     inputs = _curve_inputs(args)
     inputs["d1"] = _describe_divisor(d1)
     inputs["d2"] = _describe_divisor(d2)
@@ -208,7 +209,7 @@ def _cmd_pairing(args) -> int:
             },
             {
                 "formula": args.formula,
-                "formula_agreement_tol": FORMULA_AGREEMENT_TOL * tolerance_scale(),
+                "formula_agreement_tol": agreement_tol,
             },
             status,
         ),
@@ -268,7 +269,7 @@ def _cmd_class(args) -> int:
             "class",
             inputs,
             outputs,
-            {"lattice_tol": 1e-9, "period_tol": 1e-6},
+            {"lattice_tol": JACOBI_LATTICE_TOL, "period_tol": PERIOD_TOL},
             "pass",
         ),
         args.format,

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import (
     ConvergenceError,
     DegreeZeroRequiredError,
@@ -50,6 +52,7 @@ __all__ = [
     "theta1",
     "theta1_log_derivative",
     "green_kernel",
+    "kernel_matrix",
     "green_divisor",
     "abel_jacobi_sum",
 ]
@@ -96,6 +99,7 @@ class CurveModel:
     """Common surface of the two concrete geometries."""
 
     genus: int
+    point_tol: float  # points closer than this (``point_distance``) coincide
 
     def points_equal(self, p, q) -> bool:
         raise NotImplementedError
@@ -115,6 +119,7 @@ class Sphere(CurveModel):
     """The Riemann sphere; genus 0, no parameters."""
 
     genus: int = field(default=0, init=False)
+    point_tol = SPHERE_POINT_TOL
 
     def points_equal(self, p, q) -> bool:
         p, q = as_point(p), as_point(q)
@@ -151,6 +156,7 @@ class Torus(CurveModel):
 
     tau: complex = 1j
     genus: int = field(default=1, init=False)
+    point_tol = TORUS_POINT_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "tau", complex(self.tau))
@@ -304,8 +310,35 @@ def green_kernel(curve: CurveModel, p, q) -> float:
     return curve.kernel(p, q)
 
 
-def _support_items(d: "ComplexDivisor") -> list[tuple[CurvePoint, complex]]:
-    return list(d.support_items())
+def kernel_matrix(curve: CurveModel, left, right) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel g(P_i, Q_j) over every pair of two point sequences, in one pass.
+
+    Returns ``(kernel, distance, defined)``, arrays of shape
+    (len(left), len(right)): the kernel values, the curve distances
+    ``point_distance(P_i, Q_j)``, and the mask of entries where the kernel
+    is defined.  A pair that coincides (distance below the curve's point
+    tolerance) or involves the sphere's point at infinity (infinite
+    distance) is masked, never evaluated, and its kernel entry is 0.  When
+    ``left is right`` only the upper triangle is evaluated and mirrored, so
+    the matrix is exactly symmetric.
+    """
+    symmetric = left is right
+    left = [as_point(p) for p in left]
+    right = left if symmetric else [as_point(q) for q in right]
+    shape = (len(left), len(right))
+    kernel = np.zeros(shape)
+    distance = np.zeros(shape)
+    defined = np.zeros(shape, dtype=bool)
+    for i, p in enumerate(left):
+        for j in range(i + 1 if symmetric else 0, len(right)):
+            q = right[j]
+            d = distance[i, j] = curve.point_distance(p, q)
+            if curve.point_tol <= d < math.inf:
+                kernel[i, j] = curve.kernel(p, q)
+                defined[i, j] = True
+    if symmetric:
+        return kernel + kernel.T, distance + distance.T, defined | defined.T
+    return kernel, distance, defined
 
 
 def green_divisor(curve: CurveModel, d: "ComplexDivisor", z) -> complex:
@@ -323,14 +356,11 @@ def green_divisor(curve: CurveModel, d: "ComplexDivisor", z) -> complex:
         raise DomainError(
             "kernel undefined at infinity; evaluate at an affine point"
         )
-    total = 0j
-    for point, coeff in _support_items(d):
-        if point.at_infinity:
-            continue
-        if curve.points_equal(zp, point):
-            raise DiagonalSingularityError()
-        total += coeff * curve.kernel(zp, point)
-    return total
+    items = d.support_items()
+    kernel, distance, _ = kernel_matrix(curve, [zp], [point for point, _ in items])
+    if (distance < curve.point_tol).any():
+        raise DiagonalSingularityError()
+    return complex(kernel[0] @ np.array([coeff for _, coeff in items], dtype=complex))
 
 
 def abel_jacobi_sum(curve: CurveModel, d: "ComplexDivisor") -> complex:
@@ -343,6 +373,6 @@ def abel_jacobi_sum(curve: CurveModel, d: "ComplexDivisor") -> complex:
     if not isinstance(curve, Torus):
         raise TrivialJacobianError()
     total = 0j
-    for point, coeff in _support_items(d):
+    for point, coeff in d.support_items():
         total += coeff * point.z
     return total

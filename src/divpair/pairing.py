@@ -3,9 +3,12 @@
 Every norm formula is evaluated as a sum in the exponent over the real
 symmetric kernel g(P, Q): a power G^w with complex w is branch-ambiguous
 as a complex power but unambiguous as exp(w * g) with g real, so no
-branch cut ever enters.  The three published arrangements of the same
-exponent are kept as distinct code paths on purpose; their agreement is a
-guard on the implementation:
+branch cut ever enters.  Each public call builds one kernel matrix
+g(P_i, P'_j) with ``curve.kernel_matrix``; the three published
+arrangements of the exponent are distinct contractions of the coefficient
+vectors with that matrix (``adsym`` reads its second half from the
+transpose).  They share the kernel values but not the coefficient algebra,
+so their agreement still guards the conjugations and index orders:
 
     ad:     1/2 * sum_ij (conj(n_i) n'_j + n_i conj(n'_j)) g(P_i, P'_j)
     adsym:  1/2 * sum_ij conj(n_i) n'_j g(P_i, P'_j)
@@ -22,7 +25,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .curve import CurveModel, CurvePoint, Sphere, Torus, as_point, theta1
+import numpy as np
+
+from .curve import CurveModel, CurvePoint, Sphere, Torus, as_point, kernel_matrix, theta1
 from .divisor import ComplexDivisor, GaussianRational, MarkedCurve
 from .errors import (
     ContextMismatchError,
@@ -156,18 +161,6 @@ class RationalFunctionData:
         return value
 
 
-def _min_support_distance(
-    curve: CurveModel,
-    left: list[tuple[CurvePoint, complex]],
-    right: list[tuple[CurvePoint, complex]],
-) -> float:
-    best = math.inf
-    for p, _ in left:
-        for q, _ in right:
-            best = min(best, curve.point_distance(p, q))
-    return best
-
-
 def weil_symbol(f: RationalFunctionData, d: ComplexDivisor) -> complex:
     """prod_P f(P)^(n_P) over the support of an integral divisor d.
 
@@ -179,8 +172,12 @@ def weil_symbol(f: RationalFunctionData, d: ComplexDivisor) -> complex:
     if not d.has_integer_coefficients():
         raise DomainError("weil_symbol requires an integral divisor")
     support = d.support_items()
-    f_support = [(p, complex(m)) for p, m in f.divisor_points()]
-    if _min_support_distance(d.mc.curve, f_support, support) <= DISJOINT_TOL:
+    curve = d.mc.curve
+    if any(
+        curve.point_distance(p, q) <= DISJOINT_TOL
+        for p, _ in f.divisor_points()
+        for q, _ in support
+    ):
         raise DisjointSupportError()
     exponent = 0j
     for point, coeff in support:
@@ -212,106 +209,44 @@ class PairingResult:
     formula: str
 
 
-def _pairing_items(
-    d: ComplexDivisor,
-) -> list[tuple[CurvePoint, complex]]:
-    return d.support_items()
+# The three exponent arrangements of the module docstring, one contraction
+# each of the coefficient vectors n, m with the real kernel matrix g.
+_EXPONENTS = {
+    "ad": lambda n, m, g: 0.5 * (n.conj() @ g @ m + n @ g @ m.conj()).real,
+    "adsym": lambda n, m, g: 0.5 * (n.conj() @ g @ m).real + 0.5 * (m.conj() @ g.T @ n).real,
+    "ad3": lambda n, m, g: np.sum(np.outer(n, m.conj()).real * g),
+}
 
 
-def _kernel(curve: CurveModel, p: CurvePoint, q: CurvePoint, shift: float) -> float:
-    return curve.kernel(p, q) + shift
+def _contraction(formula: str):
+    if formula not in _EXPONENTS:
+        raise DomainError(f"unknown pairing formula {formula!r}")
+    return _EXPONENTS[formula]
 
 
-def _exponent_sum(
-    curve: CurveModel,
-    items1: list[tuple[CurvePoint, complex]],
-    items2: list[tuple[CurvePoint, complex]],
-    formula: str,
-    shift: float,
-    omit_coincident: bool,
-) -> float:
-    """One of the three exponent arrangements over the kernel matrix.
+def _coefficients(items) -> np.ndarray:
+    return np.array([coeff for _, coeff in items], dtype=complex)
 
-    Sphere terms at infinity are dropped (degree zero of the opposite
-    operand makes the affine sum the documented value); with
-    ``omit_coincident`` the coincident pairs are skipped, which is the
-    diagonal regularization used for self-pairings.
+
+def _pairing_matrix(
+    mc: MarkedCurve, d1: ComplexDivisor, d2: ComplexDivisor, shift: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient vectors of two pairable divisors and their kernel matrix.
+
+    Checks that both have degree zero and disjoint supports.  Sphere terms
+    at infinity stay 0 (degree zero of the opposite operand makes the
+    affine sum the documented value); ``shift`` is added on the defined
+    entries only.
     """
-    if formula == "ad":
-        total = 0j
-        for p, n in items1:
-            if p.at_infinity:
-                continue
-            for q, m in items2:
-                if q.at_infinity:
-                    continue
-                if omit_coincident and curve.points_equal(p, q):
-                    continue
-                g = _kernel(curve, p, q, shift)
-                total += 0.5 * (n.conjugate() * m + n * m.conjugate()) * g
-        return total.real
-    if formula == "adsym":
-        first = 0j
-        for p, n in items1:
-            if p.at_infinity:
-                continue
-            for q, m in items2:
-                if q.at_infinity:
-                    continue
-                if omit_coincident and curve.points_equal(p, q):
-                    continue
-                first += n.conjugate() * m * _kernel(curve, p, q, shift)
-        second = 0j
-        for q, m in items2:
-            if q.at_infinity:
-                continue
-            for p, n in items1:
-                if p.at_infinity:
-                    continue
-                if omit_coincident and curve.points_equal(p, q):
-                    continue
-                second += m.conjugate() * n * _kernel(curve, q, p, shift)
-        return 0.5 * first.real + 0.5 * second.real
-    if formula == "ad3":
-        total = 0.0
-        for p, n in items1:
-            if p.at_infinity:
-                continue
-            for q, m in items2:
-                if q.at_infinity:
-                    continue
-                if omit_coincident and curve.points_equal(p, q):
-                    continue
-                total += (n * m.conjugate()).real * _kernel(curve, p, q, shift)
-        return total
-    raise DomainError(f"unknown pairing formula {formula!r}")
-
-
-def _hermitian_sum(
-    curve: CurveModel,
-    items1: list[tuple[CurvePoint, complex]],
-    items2: list[tuple[CurvePoint, complex]],
-    shift: float,
-    omit_coincident: bool = False,
-) -> complex:
-    total = 0j
-    for p, n in items1:
-        if p.at_infinity:
-            continue
-        for q, m in items2:
-            if q.at_infinity:
-                continue
-            if omit_coincident and curve.points_equal(p, q):
-                continue
-            total += n * m.conjugate() * _kernel(curve, p, q, shift)
-    return total
-
-
-def _require_pairable(mc: MarkedCurve, d1: ComplexDivisor, d2: ComplexDivisor) -> None:
     if d1.degree() != 0 or d2.degree() != 0:
         raise DegreeZeroRequiredError()
-    if _min_support_distance(mc.curve, d1.support_items(), d2.support_items()) <= DISJOINT_TOL:
+    items1, items2 = d1.support_items(), d2.support_items()
+    kernel, distance, defined = kernel_matrix(
+        mc.curve, [p for p, _ in items1], [q for q, _ in items2]
+    )
+    if (distance <= DISJOINT_TOL).any():
         raise DisjointSupportError()
+    return _coefficients(items1), _coefficients(items2), kernel + shift * defined
 
 
 def pairing_exponent(
@@ -323,10 +258,8 @@ def pairing_exponent(
     kernel_shift: float = 0.0,
 ) -> float:
     """Exponent of the pairing norm under the named formula arrangement."""
-    _require_pairable(mc, d1, d2)
-    return _exponent_sum(
-        mc.curve, _pairing_items(d1), _pairing_items(d2), formula, kernel_shift, False
-    )
+    contract = _contraction(formula)
+    return float(contract(*_pairing_matrix(mc, d1, d2, kernel_shift)))
 
 
 def pairing_norm(
@@ -343,16 +276,13 @@ def pairing_norm(
     invariant under it by the degree-zero hypothesis, and the knob exists
     so that invariance can be verified from the outside.
     """
-    if formula not in FORMULAS:
-        raise DomainError(f"unknown pairing formula {formula!r}")
-    _require_pairable(mc, d1, d2)
-    items1, items2 = _pairing_items(d1), _pairing_items(d2)
-    exponent = _exponent_sum(mc.curve, items1, items2, formula, kernel_shift, False)
-    hermitian = _hermitian_sum(mc.curve, items1, items2, kernel_shift)
+    contract = _contraction(formula)
+    n, m, kernel = _pairing_matrix(mc, d1, d2, kernel_shift)
+    exponent = float(contract(n, m, kernel))
     return PairingResult(
         norm=math.exp(exponent),
         exponent=exponent,
-        hermitian_value=hermitian,
+        hermitian_value=complex(n @ kernel @ m.conj()),
         formula=formula,
     )
 
@@ -365,8 +295,11 @@ def self_pairing_exponent(mc: MarkedCurve, d: ComplexDivisor) -> float:
     """
     if d.degree() != 0:
         raise DegreeZeroRequiredError()
-    items = _pairing_items(d)
-    return _exponent_sum(mc.curve, items, items, "ad3", 0.0, True)
+    items = d.support_items()
+    points = [p for p, _ in items]
+    kernel, _, _ = kernel_matrix(mc.curve, points, points)
+    n = _coefficients(items)
+    return float(_EXPONENTS["ad3"](n, n, kernel))
 
 
 def hermitian_form(mc: MarkedCurve, d1: ComplexDivisor, d2: ComplexDivisor) -> complex:
@@ -376,8 +309,8 @@ def hermitian_form(mc: MarkedCurve, d1: ComplexDivisor, d2: ComplexDivisor) -> c
     """
     if d1.integral or d2.integral:
         raise DomainError("hermitian_form requires supports inside the marked set")
-    _require_pairable(mc, d1, d2)
-    return _hermitian_sum(mc.curve, _pairing_items(d1), _pairing_items(d2), 0.0)
+    n, m, kernel = _pairing_matrix(mc, d1, d2, 0.0)
+    return complex(n @ kernel @ m.conj())
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import math
 import os
 import random
 import time
+import warnings
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,15 +69,26 @@ __all__ = [
 
 
 def tolerance_scale() -> float:
-    """Multiplier applied to every pass threshold (DIVPAIR_TOL, default 1)."""
+    """Multiplier applied to every pass threshold (DIVPAIR_TOL, default 1).
+
+    Read afresh on every call.  A value that is not a positive finite
+    number is rejected with a RuntimeWarning (shown on stderr) and 1 is
+    used instead.
+    """
     raw = os.environ.get("DIVPAIR_TOL")
     if raw is None:
         return 1.0
     try:
         value = float(raw)
     except ValueError:
-        return 1.0
-    return value if value > 0 else 1.0
+        value = math.nan
+    if 0 < value < math.inf:
+        return value
+    warnings.warn(
+        f"ignoring DIVPAIR_TOL={raw!r}: not a positive finite number; using 1.0",
+        RuntimeWarning,
+    )
+    return 1.0
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .curve import green_kernel
+import numpy as np
+
+from .curve import kernel_matrix
 from .divisor import ComplexDivisor, GaussianRational, MarkedCurve
 from .errors import DomainError
 
@@ -128,25 +130,12 @@ def string_pairing_factor(mc: MarkedCurve, cfg: MomentumConfig) -> StringFactor:
     of the component divisors; the float momenta are used directly here,
     the rationalized route is available through ``momentum_divisor``.
     """
-    n = len(cfg)
-    if mc.n_marks != n:
+    if mc.n_marks != len(cfg):
         raise DomainError("marks and momenta counts must match")
-    kernel = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            kernel[i][j] = kernel[j][i] = green_kernel(
-                mc.curve, mc.mark(i), mc.mark(j)
-            )
-    per_component = []
-    for nu in range(DIMENSION):
-        exponent = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                weight = (cfg.momenta[i][nu] * cfg.momenta[j][nu].conjugate()).real
-                exponent += weight * kernel[i][j]
-        per_component.append(exponent)
+    kernel, _, _ = kernel_matrix(mc.curve, mc.marks, mc.marks)
+    momenta = np.array(cfg.momenta)
+    # the diagonal of the kernel matrix is masked to 0, so i == j drops out
+    per_component = np.einsum("iv,ij,jv->v", momenta, kernel, momenta.conj()).real
     total_exponent = math.fsum(per_component)
     return StringFactor(
         factor=math.exp(total_exponent),

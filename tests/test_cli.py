@@ -1,6 +1,16 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import divpair
 from divpair.cli import EXIT_DOMAIN, EXIT_PARSE, EXIT_PASS, main
+from divpair.mvf import JACOBI_LATTICE_TOL, PERIOD_TOL
+from divpair.selftest import tolerance_scale
 
 
 def run(capsys, *argv):
@@ -102,6 +112,16 @@ def test_class_command(capsys):
     assert report["outputs"]["principal"] is False
 
 
+def test_class_report_states_the_applied_tolerances(capsys):
+    code, out, _ = run(
+        capsys,
+        "class", "--curve", "torus", "--tau", "i", "--divisor", "1@0.25,-1@0.75",
+    )
+    assert code == EXIT_PASS
+    metadata = json.loads(out)["metadata"]
+    assert metadata == {"lattice_tol": JACOBI_LATTICE_TOL, "period_tol": PERIOD_TOL}
+
+
 def test_string_factor_command(tmp_path, capsys):
     config = {
         "curve": "sphere",
@@ -155,6 +175,29 @@ def test_tolerance_scale_env(capsys, monkeypatch):
     assert code == EXIT_PASS
     report = json.loads(out)
     assert report["metadata"]["tolerance_scale"] == 10.0
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1", "nan", "inf"])
+def test_invalid_tolerance_scale_warns_and_falls_back(monkeypatch, raw):
+    monkeypatch.setenv("DIVPAIR_TOL", raw)
+    with pytest.warns(RuntimeWarning, match=re.escape(f"DIVPAIR_TOL={raw!r}")):
+        assert tolerance_scale() == 1.0
+
+
+def test_invalid_tolerance_scale_goes_to_stderr_only():
+    argv = [
+        sys.executable, "-m", "divpair.cli", "reciprocity", "--curve", "sphere",
+        "--f", "zeros:0;poles:2", "--g", "zeros:1;poles:3",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(divpair.__file__).parents[1]))
+    env.pop("DIVPAIR_TOL", None)
+    clean = subprocess.run(argv, env=env, capture_output=True, check=True)
+    invalid = subprocess.run(
+        argv, env={**env, "DIVPAIR_TOL": "abc"}, capture_output=True, check=True
+    )
+    assert invalid.stdout == clean.stdout
+    assert b"DIVPAIR_TOL='abc'" in invalid.stderr
+    assert b"DIVPAIR_TOL" not in clean.stderr
 
 
 def test_torus_requires_tau(capsys):

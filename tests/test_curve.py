@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from divpair import (
@@ -17,9 +18,11 @@ from divpair import (
     abel_jacobi_sum,
     green_divisor,
     green_kernel,
+    kernel_matrix,
     theta1,
     theta1_log_derivative,
 )
+from divpair.curve import SPHERE_POINT_TOL, TORUS_POINT_TOL
 from divpair.divisor import GaussianRational
 
 
@@ -224,3 +227,48 @@ def test_torus_point_reduction_and_equality():
     assert 0 <= a < 1 and 0 <= b < 1
     assert t.points_equal(p, CurvePoint(2.6 + 3.3j))
     assert not t.points_equal(p, CurvePoint(p.z + 0.1))
+
+
+@pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j)])
+def test_kernel_matrix_matches_green_kernel(curve):
+    left = [0.1 + 0.2j, 0.55 + 0.35j, 0.3 + 0.9j]
+    right = [0.8 + 0.1j, 0.45 + 0.6j, 0.05 + 0.75j, 0.9 + 0.95j]
+    kernel, distance, defined = kernel_matrix(curve, left, right)
+    assert kernel.shape == distance.shape == defined.shape == (3, 4)
+    assert defined.all()
+    for i, p in enumerate(left):
+        for j, q in enumerate(right):
+            assert kernel[i, j] == green_kernel(curve, p, q)
+            assert distance[i, j] == curve.point_distance(p, q)
+
+
+def test_kernel_matrix_masks_infinity_and_coincident_points_on_sphere():
+    inf = CurvePoint.infinity()
+    left = [1.0, inf, 2.0]
+    right = [1.0 + SPHERE_POINT_TOL / 2, inf, 3.0]
+    kernel, distance, defined = kernel_matrix(Sphere(), left, right)
+    expected = np.array([[False, False, True], [False, False, False], [True, False, True]])
+    assert np.array_equal(defined, expected)
+    assert np.all(kernel[~defined] == 0.0)
+    assert kernel[0, 2] == math.log(2)
+    assert distance[1, 1] == 0.0 and distance[0, 1] == math.inf
+
+
+def test_kernel_matrix_torus_lattice_translate_is_coincident():
+    t = Torus(0.3 + 1.1j)
+    p = CurvePoint(0.2 + 0.3j)
+    translate = CurvePoint(p.z + 2 - t.tau)
+    kernel, distance, defined = kernel_matrix(t, [p], [translate, 0.6 + 0.5j])
+    assert not defined[0, 0] and kernel[0, 0] == 0.0
+    assert distance[0, 0] < TORUS_POINT_TOL
+    assert defined[0, 1]
+
+
+@pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j)])
+def test_kernel_matrix_of_a_point_list_with_itself_is_exactly_symmetric(curve):
+    points = [0.1 + 0.2j, 0.55 + 0.35j, 0.3 + 0.9j, 0.8 + 0.1j]
+    kernel, distance, defined = kernel_matrix(curve, points, points)
+    assert np.array_equal(kernel, kernel.T)
+    assert np.array_equal(distance, distance.T)
+    assert np.array_equal(defined, ~np.eye(4, dtype=bool))
+    assert np.all(np.diag(kernel) == 0.0)

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import divpair.curve
+import divpair.pairing
+import divpair.strings
 from divpair import (
     ComplexDivisor,
     DegreeZeroRequiredError,
@@ -11,6 +14,7 @@ from divpair import (
     DomainError,
     GaussianRational,
     MarkedCurve,
+    MomentumConfig,
     RationalFunctionData,
     Sphere,
     Torus,
@@ -18,11 +22,16 @@ from divpair import (
     check_scaling_laws,
     check_symmetry,
     check_weil_reciprocity,
+    green_divisor,
     hermitian_form,
+    kernel_matrix,
     pairing_norm,
     self_pairing_exponent,
+    string_pairing_factor,
     weil_symbol,
 )
+from divpair.pairing import FORMULAS
+from divpair.strings import DIMENSION
 
 I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
@@ -256,3 +265,56 @@ def test_integral_pairing_matches_weil_power_product():
             for q, m in zip(pts[3:], w2):
                 product *= math.exp(s.kernel(p, q)) ** (n * m)
         assert abs(norm - product) < 1e-12 * norm
+
+
+def test_matrix_contractions_match_the_pairwise_sums():
+    # reference: the documented double sums, one kernel call per pair
+    t = Torus(0.2 + 0.9j)
+    mc = MarkedCurve(t, [0.1 + 0.2j, 0.5 + 0.1j, 0.3 + 0.7j, 0.8 + 0.5j, 0.6 + 0.3j])
+    d1 = ComplexDivisor(mc, marked={0: I + 1, 1: -I, 2: -1})
+    d2 = ComplexDivisor(mc, marked={3: HALF - I, 4: I - HALF})
+    items1, items2 = d1.support_items(), d2.support_items()
+    shift = 0.75
+    g = {(p, q): t.kernel(p, q) + shift for p, _ in items1 for q, _ in items2}
+    ad = sum(0.5 * (n.conjugate() * m + n * m.conjugate()) * g[p, q]
+             for p, n in items1 for q, m in items2).real
+    adsym = 0.5 * sum(n.conjugate() * m * g[p, q] for p, n in items1 for q, m in items2).real
+    adsym += 0.5 * sum(m.conjugate() * n * g[p, q] for q, m in items2 for p, n in items1).real
+    ad3 = sum((n * m.conjugate()).real * g[p, q] for p, n in items1 for q, m in items2)
+    hermitian = sum(n * m.conjugate() * g[p, q] for p, n in items1 for q, m in items2)
+    for formula, expected in (("ad", ad), ("adsym", adsym), ("ad3", ad3)):
+        result = pairing_norm(mc, d1, d2, formula, kernel_shift=shift)
+        assert abs(result.exponent - expected) < 1e-12 * max(1.0, abs(expected))
+        assert abs(result.hermitian_value - hermitian) < 1e-12 * max(1.0, abs(hermitian))
+    self_ref = sum((n * m.conjugate()).real * t.kernel(p, q)
+                   for p, n in items1 for q, m in items1 if p != q)
+    assert abs(self_pairing_exponent(mc, d1) - self_ref) < 1e-12 * max(1.0, abs(self_ref))
+
+
+def test_each_kernel_consumer_builds_one_kernel_matrix(monkeypatch):
+    shapes = []
+
+    def counting(curve, left, right):
+        shapes.append((len(left), len(right)))
+        return kernel_matrix(curve, left, right)
+
+    for module in (divpair.curve, divpair.pairing, divpair.strings):
+        monkeypatch.setattr(module, "kernel_matrix", counting)
+    t = Torus(0.3 + 1.1j)
+    mc = MarkedCurve(t, [0.1 + 0.2j, 0.5 + 0.1j, 0.3 + 0.7j, 0.8 + 0.5j])
+    d1 = ComplexDivisor(mc, marked={0: I, 1: -I})
+    d2 = ComplexDivisor(mc, marked={2: HALF, 3: -HALF})
+    e0 = [0j] * DIMENSION
+    e0[0] = 1 + 0j
+    cfg = MomentumConfig([e0, [-c for c in e0]])
+    calls = [lambda f=f: pairing_norm(mc, d1, d2, f) for f in FORMULAS] + [
+        lambda: hermitian_form(mc, d1, d2),
+        lambda: self_pairing_exponent(mc, d1),
+        lambda: green_divisor(t, d1, 0.9 + 0.9j),
+        lambda: string_pairing_factor(MarkedCurve(t, [0.1 + 0.2j, 0.6 + 0.4j]), cfg),
+    ]
+    expected = [(2, 2)] * 5 + [(1, 2), (2, 2)]
+    for call, shape in zip(calls, expected):
+        shapes.clear()
+        call()
+        assert shapes == [shape]
