@@ -26,7 +26,6 @@ from .divisor import (
 )
 from .errors import (
     ContextMismatchError,
-    ConvergenceError,
     DegreeIntegralityError,
     DegreeZeroRequiredError,
     DiagonalSingularityError,

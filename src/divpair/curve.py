@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DegreeZeroRequiredError,
     DiagonalSingularityError,
     DomainError,
@@ -41,8 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
 SPHERE_POINT_TOL = 1e-12
 TORUS_POINT_TOL = 1e-9
 
-_THETA_CUTOFF = 1e-17
-_THETA_MAX_FACTORS = 40000
+# theta products and series stop at the first n with |Q|^n * bound < 1e-17
+_LOG_THETA_CUTOFF = math.log(1e-17)
 
 __all__ = [
     "CurvePoint",
@@ -111,6 +110,7 @@ class CurveModel:
         raise NotImplementedError
 
     def kernel(self, p, q) -> float:
+        """The bare kernel formula; callers exclude coincident and infinite pairs."""
         raise NotImplementedError
 
 
@@ -122,10 +122,7 @@ class Sphere(CurveModel):
     point_tol = SPHERE_POINT_TOL
 
     def points_equal(self, p, q) -> bool:
-        p, q = as_point(p), as_point(q)
-        if p.at_infinity or q.at_infinity:
-            return p.at_infinity and q.at_infinity
-        return abs(p.z - q.z) < SPHERE_POINT_TOL
+        return self.point_distance(p, q) < self.point_tol
 
     def point_distance(self, p, q) -> float:
         p, q = as_point(p), as_point(q)
@@ -139,15 +136,7 @@ class Sphere(CurveModel):
         return as_point(p)
 
     def kernel(self, p, q) -> float:
-        p, q = as_point(p), as_point(q)
-        if self.points_equal(p, q):
-            raise DiagonalSingularityError()
-        if p.at_infinity or q.at_infinity:
-            raise DomainError(
-                "kernel undefined at infinity; infinity is only supported "
-                "inside degree-zero divisor sums"
-            )
-        return math.log(abs(p.z - q.z))
+        return math.log(abs(as_point(p).z - as_point(q).z))
 
 
 @dataclass(frozen=True)
@@ -159,9 +148,7 @@ class Torus(CurveModel):
     point_tol = TORUS_POINT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", complex(self.tau))
-        if not self.tau.imag > 0:
-            raise DomainError("tau must have positive imaginary part")
+        object.__setattr__(self, "tau", _require_upper_half(self.tau))
 
     def lattice_coords(self, z: complex) -> tuple[float, float]:
         """Real coordinates (a, b) with z = a + b*tau."""
@@ -181,37 +168,26 @@ class Torus(CurveModel):
         a, b = self.lattice_coords(p.z)
         return CurvePoint(p.z - math.floor(a) - math.floor(b) * self.tau)
 
-    def reduce_centered(self, z: complex) -> complex:
-        """Representative with lattice coordinates in [-1/2, 1/2)."""
-        a, b = self.lattice_coords(z)
-        return complex(z) - round(a) - round(b) * self.tau
-
     def lattice_defect(self, z: complex) -> float:
-        """Euclidean distance from z to the nearest lattice point."""
-        a, b = self.lattice_coords(z)
-        best = math.inf
-        for m in (math.floor(a), math.floor(a) + 1):
-            for n in (math.floor(b), math.floor(b) + 1):
-                best = min(best, abs(z - m - n * self.tau))
-        return best
+        """Distance from z to the nearest lattice point, a corner of z's cell for reduced tau."""
+        z, tau, scale = complex(z), self.tau, 1.0
+        if abs(tau.real) > 0.5 or tau.real * tau.real + tau.imag * tau.imag < 1.0:
+            z, tau, _, scale, _ = _reduce_modulus(z, tau)
+        b = z.imag / tau.imag
+        corner = z - math.floor(z.real - b * tau.real) - math.floor(b) * tau
+        nearest = min(abs(corner), abs(corner - 1), abs(corner - tau), abs(corner - 1 - tau))
+        return nearest / abs(scale)
 
     def points_equal(self, p, q) -> bool:
-        p, q = as_point(p), as_point(q)
-        return self.lattice_defect(p.z - q.z) < TORUS_POINT_TOL
+        return self.point_distance(p, q) < self.point_tol
 
     def point_distance(self, p, q) -> float:
-        p, q = as_point(p), as_point(q)
-        return self.lattice_defect(p.z - q.z)
+        return self.lattice_defect(as_point(p).z - as_point(q).z)
 
     def kernel(self, p, q) -> float:
-        p, q = as_point(p), as_point(q)
-        if self.points_equal(p, q):
-            raise DiagonalSingularityError()
-        w = self.reduce_centered(p.z - q.z)
-        return (
-            math.log(abs(theta1(w, self.tau)))
-            - math.pi * w.imag * w.imag / self.tau.imag
-        )
+        w = as_point(p).z - as_point(q).z
+        log_scale, value = _theta1_parts(w, self.tau)
+        return log_scale.real + math.log(abs(value)) - math.pi * w.imag * w.imag / self.tau.imag
 
 
 def _require_upper_half(tau: complex) -> complex:
@@ -221,92 +197,120 @@ def _require_upper_half(tau: complex) -> complex:
     return tau
 
 
-def _theta_reduce(z: complex, tau: complex) -> tuple[complex, int, int]:
-    """Split z = z0 + m + n*tau with Im z0 in [0, Im tau), Re z0 in [-1/2, 1/2]."""
-    n = math.floor(z.imag / tau.imag)
-    z0 = z - n * tau
-    m = round(z0.real)
-    return z0 - m, m, n
+def _reduce_modulus(z: complex, tau: complex) -> tuple[complex, complex, complex, complex, complex]:
+    """Move tau into the fundamental domain |Re tau| <= 1/2, |tau| >= 1, carrying z.
+
+    Returns (z', tau', L, a, b) with z' = a*z, Z + tau*Z = (Z + tau'*Z) / a,
+    theta1(z | tau) = exp(L) theta1(z' | tau') and
+    (theta1'/theta1)(z | tau) = a (theta1'/theta1)(z' | tau') + b, by T steps
+    theta1(z | tau) = exp(i*pi*k/4) theta1(z | tau - k) and S steps
+    theta1(z | tau) = i (-i*tau)^(-1/2) exp(-i*pi*z^2/tau) theta1(z/tau | -1/tau).
+    An S step raises Im tau by 1/|tau|^2 > 1; the 1e-12 slack stops rounding cycles.
+    """
+    log_scale, scale, offset = 0j, 1.0, 0j
+    while True:
+        k = round(tau.real)
+        tau -= k
+        log_scale += 0.25j * math.pi * k
+        norm = tau.real * tau.real + tau.imag * tau.imag
+        if norm >= 1.0 - 1e-12:
+            return z, tau, log_scale, scale, offset
+        log_scale += 0.5j * math.pi - 0.5 * cmath.log(-1j * tau) - 1j * math.pi * z * z / tau
+        offset -= 2j * math.pi * scale * z / tau
+        scale /= tau
+        z /= tau
+        tau = complex(-tau.real / norm, tau.imag / norm)
+
+
+def _theta1_parts(z: complex, tau: complex) -> tuple[complex, complex]:
+    """Split theta1(z | tau) = exp(L) * P, every large multiplier in L.
+
+    After tau is reduced (``_reduce_modulus``), z is centred by theta1(z + 1) = -theta1(z),
+    theta1(z + tau) = -exp(-i*pi*tau - 2*pi*i*z) theta1(z) and turned into Im z >= 0 by
+    oddness.  Then, with Q = exp(2*pi*i*tau), x = exp(2*pi*i*z), y = exp(2*pi*i*(tau - z)),
+        theta1(z) = i exp(i*pi*tau/4 - i*pi*z) (1 - x)
+                    prod_{n>=1} (1 - Q^n)(1 - Q^n x)(1 - Q^(n-1) y),
+    taking the n factors solved from |Q|^n (1 + |x| + 1/|x|) < 1e-17.
+    """
+    log_scale = 0j
+    if abs(tau.real) > 0.5 or tau.real * tau.real + tau.imag * tau.imag < 1.0:
+        z, tau, log_scale, _, _ = _reduce_modulus(z, tau)
+    n = round(z.imag / tau.imag)
+    z -= n * tau
+    m = round(z.real)
+    z -= m
+    if n:
+        log_scale -= 1j * math.pi * n * (n * tau + 2.0 * z)
+    turns = m + n  # factors of -1
+    if z.imag < 0:
+        z, turns = -z, turns + 1
+    log_scale += 1j * math.pi * (turns + 0.5 + 0.25 * tau - z)
+    nome = cmath.exp(2j * math.pi * tau)
+    x = cmath.exp(2j * math.pi * z)
+    qy = cmath.exp(2j * math.pi * (tau - z))
+    log_bound = math.log(1.0 + abs(x) + abs(x * x)) + 2.0 * math.pi * z.imag
+    value, qn = 1.0 - x, nome
+    for _ in range(int((log_bound - _LOG_THETA_CUTOFF) / (2.0 * math.pi * tau.imag)) + 1):
+        value *= (1.0 - qn) * (1.0 - qn * x) * (1.0 - qy)
+        qn *= nome
+        qy *= nome
+    return log_scale, value
 
 
 def theta1(z: complex, tau: complex) -> complex:
-    """First Jacobi theta function theta1(z | tau).
+    """First Jacobi theta function theta1(z | tau), for any tau with Im tau > 0.
 
-    Triple-product evaluation with nome Q = exp(2*pi*i*tau):
-
-        theta1(z) = 2 exp(i*pi*tau/4) sin(pi z)
-                    prod_{n>=1} (1 - Q^n)(1 - Q^n e^{2 pi i z})(1 - Q^n e^{-2 pi i z})
-
-    The argument is reduced by the quasi-periodicity relations
-    theta1(z+1) = -theta1(z) and
-    theta1(z+tau) = -exp(-i*pi*tau - 2*pi*i*z) * theta1(z)
-    before the product is summed; factors stop once they differ from 1 by
-    less than 1e-17 relative to the running product.
+    theta1(z) = 2 sum_{k>=0} (-1)^k exp(i*pi*tau*(k + 1/2)^2) sin((2k + 1) pi z), evaluated
+    as a triple product of at most nine factors after SL2(Z) reduction (``_theta1_parts``).
     """
-    tau = _require_upper_half(tau)
-    z = complex(z)
-    z0, m, n = _theta_reduce(z, tau)
-    # theta1(z0 + m + n*tau) = (-1)^(m+n) exp(-i*pi*tau*n^2 - 2*pi*i*n*z0) theta1(z0)
-    sign = -1.0 if (m + n) % 2 else 1.0
-    if n == 0:
-        prefactor = complex(sign)
-    else:
-        prefactor = sign * cmath.exp(
-            -1j * math.pi * tau * n * n - 2j * math.pi * n * z0
-        )
-
-    nome = cmath.exp(2j * math.pi * tau)
-    up = cmath.exp(2j * math.pi * z0)
-    um = cmath.exp(-2j * math.pi * z0)
-    value = 2.0 * cmath.exp(0.25j * math.pi * tau) * cmath.sin(math.pi * z0)
-    bound = 1.0 + abs(up) + abs(um)
-    qn = 1.0 + 0j
-    for _ in range(_THETA_MAX_FACTORS):
-        qn *= nome
-        value *= (1.0 - qn) * (1.0 - qn * up) * (1.0 - qn * um)
-        if abs(qn) * bound < _THETA_CUTOFF:
-            return prefactor * value
-    raise ConvergenceError("theta1 product did not converge; tau too close to the real axis")
+    log_scale, value = _theta1_parts(complex(z), _require_upper_half(tau))
+    return cmath.exp(log_scale) * value
 
 
 def theta1_log_derivative(z: complex, tau: complex) -> complex:
-    """theta1'(z|tau) / theta1(z|tau).
+    """theta1'(z|tau) / theta1(z|tau), for any tau with Im tau > 0.
 
-    Uses the expansion
-        pi*cot(pi z) + 2*pi*i * sum_{n>=1} [ Q^n u^- / (1 - Q^n u^-)
-                                           - Q^n u^+ / (1 - Q^n u^+) ],
-    u^{\\pm} = exp(+-2*pi*i*z), Q = exp(2*pi*i*tau), after shifting Im z
-    into [-Im tau / 2, Im tau / 2) via the relation
-    (theta1'/theta1)(z + tau) = (theta1'/theta1)(z) - 2*pi*i.
+    tau and z are reduced as in ``_theta1_parts``, with
+    (theta1'/theta1)(z + tau) = (theta1'/theta1)(z) - 2*pi*i; then, with its Q, x, y,
+        -i*pi (1 + x)/(1 - x) + 2*pi*i sum_{n>=1} [Q^(n-1) y/(1 - Q^(n-1) y) - Q^n x/(1 - Q^n x)]
+    over the n terms solved from |Q|^n (|x| + 1/|x|) < 1e-17.
     """
     tau = _require_upper_half(tau)
-    z = complex(z)
+    z, scale, offset = complex(z), 1.0, 0j
+    if abs(tau.real) > 0.5 or tau.real * tau.real + tau.imag * tau.imag < 1.0:
+        z, tau, _, scale, offset = _reduce_modulus(z, tau)
     k = round(z.imag / tau.imag)
-    w = z - k * tau
-    w -= round(w.real)  # the log-derivative is 1-periodic
-
+    z -= k * tau
+    z -= round(z.real)
+    if k:
+        offset -= 2j * math.pi * k * scale
+    if z.imag < 0:
+        z, scale = -z, -scale
     nome = cmath.exp(2j * math.pi * tau)
-    up = cmath.exp(2j * math.pi * w)
-    um = cmath.exp(-2j * math.pi * w)
-    total = math.pi * cmath.cos(math.pi * w) / cmath.sin(math.pi * w)
-    bound = abs(up) + abs(um)
-    qn = 1.0 + 0j
-    for _ in range(_THETA_MAX_FACTORS):
-        qn *= nome
-        tp = qn * up
-        tm = qn * um
-        total += 2j * math.pi * (tm / (1.0 - tm) - tp / (1.0 - tp))
-        if abs(qn) * bound < _THETA_CUTOFF:
-            return total - 2j * math.pi * k
-    raise ConvergenceError("theta1 log-derivative series did not converge")
+    x = cmath.exp(2j * math.pi * z)
+    qy = cmath.exp(2j * math.pi * (tau - z))
+    log_bound = math.log(1.0 + abs(x * x)) + 2.0 * math.pi * z.imag
+    total, qx = -1j * math.pi * (1.0 + x) / (1.0 - x), nome * x
+    for _ in range(int((log_bound - _LOG_THETA_CUTOFF) / (2.0 * math.pi * tau.imag)) + 1):
+        total += 2j * math.pi * (qy / (1.0 - qy) - qx / (1.0 - qx))
+        qx *= nome
+        qy *= nome
+    return scale * total + offset
 
 
 def green_kernel(curve: CurveModel, p, q) -> float:
     """Symmetric real Green kernel g(p, q) of the curve.
 
-    Raises DiagonalSingularityError for coincident points (lattice
-    equivalence counts as coincidence on the torus).
+    The coincidence test for single pairs (``curve.kernel`` is the bare
+    formula): DiagonalSingularityError below the curve's point tolerance,
+    lattice equivalence included; DomainError at the sphere's infinity.
     """
+    p, q = as_point(p), as_point(q)
+    distance = curve.point_distance(p, q)
+    if distance < curve.point_tol:
+        raise DiagonalSingularityError()
+    if distance == math.inf:
+        raise DomainError("kernel undefined at infinity; only degree-zero divisor sums drop it")
     return curve.kernel(p, q)
 
 

@@ -46,7 +46,3 @@ class TrivialJacobianError(DomainError):
 class ContextMismatchError(DomainError):
     def __init__(self, message: str = "mismatched marked-curve contexts"):
         super().__init__(message)
-
-
-class ConvergenceError(DivpairError):
-    """A series or quadrature failed to reach its target accuracy."""

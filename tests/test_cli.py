@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -217,6 +218,25 @@ def test_green_on_torus(capsys):
     assert code == EXIT_PASS
     value = json.loads(out)["outputs"]["real"]
     assert abs(value) < 10  # finite, sane magnitude
+
+
+def test_green_on_a_torus_near_the_real_axis(capsys):
+    code, out, _ = run(
+        capsys,
+        "green", "--curve", "torus", "--tau", "0.3+0.00001i",
+        "--divisor", "1@0.1,-1@0.2", "--at", "0.5",
+    )
+    assert code == EXIT_PASS
+    assert math.isfinite(json.loads(out)["outputs"]["real"])
+
+
+def test_class_jacobi_defect_on_a_skewed_torus(capsys):
+    # tau - 5 = 0.01i is a lattice vector, so 0.005i lies 0.005 from the lattice
+    code, out, _ = run(
+        capsys, "class", "--curve", "torus", "--tau", "5+0.01i", "--divisor", "1@0.005i,-1@0",
+    )
+    assert code == EXIT_PASS
+    assert abs(json.loads(out)["outputs"]["jacobi_defect"] - 0.005) < 1e-12
 
 
 def test_pairing_single_formula(capsys):

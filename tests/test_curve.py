@@ -19,6 +19,7 @@ from divpair import (
     green_divisor,
     green_kernel,
     kernel_matrix,
+    pairing_exponent,
     theta1,
     theta1_log_derivative,
 )
@@ -74,6 +75,31 @@ def test_theta1_matches_direct_series_sweep():
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+def random_tau(rng, real=3.0, low=0.05, high=2.0):
+    """Re tau uniform in [-real, real], Im tau log-uniform in [low, high]."""
+    return complex(rng.uniform(-real, real), math.exp(rng.uniform(math.log(low), math.log(high))))
+
+
+def test_theta1_matches_direct_series_off_the_fundamental_domain():
+    rng = random.Random(17)
+    for _ in range(60):
+        tau = random_tau(rng)
+        z = rng.uniform(-1, 1) + rng.uniform(-1, 1) * tau
+        ref = theta1_direct_series(z, tau)
+        assert abs(theta1(z, tau) - ref) <= 1e-12 * abs(ref)
+
+
+def test_theta1_log_derivative_matches_central_difference_off_the_fundamental_domain():
+    rng = random.Random(23)
+    h = 1e-5
+    for _ in range(60):
+        tau = random_tau(rng, high=0.9)
+        z = rng.uniform(-1, 1) + rng.uniform(-1, 1) * tau
+        difference = (theta1(z + h, tau) - theta1(z - h, tau)) / (2 * h * theta1(z, tau))
+        value = theta1_log_derivative(z, tau)
+        assert abs(value - difference) <= 1e-6 * max(1.0, abs(value))
+
+
 def test_theta1_quasi_periodicity():
     z, tau = 0.21 - 0.37j, 0.3 + 1.1j
     base = theta1(z, tau)
@@ -95,6 +121,71 @@ def test_theta1_log_derivative_periodicity():
     base = theta1_log_derivative(z, tau)
     assert abs(theta1_log_derivative(z + 1, tau) - base) < 1e-11
     assert abs(theta1_log_derivative(z + tau, tau) - base + 2j * math.pi) < 1e-11
+
+
+def test_theta_functions_evaluate_near_the_real_axis_and_far_from_it():
+    for tau in (0.3 + 1e-5j, -7.1 + 1e-4j, 1000j, 0.2 + 300j):
+        z = 0.1 + 0.3 * tau
+        assert math.isfinite(green_kernel(Torus(tau), z, 0.25))
+        assert cmath.isfinite(theta1_log_derivative(z, tau))
+    assert cmath.isfinite(theta1(0.1, 0.3 + 1e-5j))
+
+
+def random_modular_word(rng, length):
+    """(a, b, c, d) of a random product of S = (0 -1; 1 0) and T^k = (1 k; 0 1)."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(length):
+        if rng.random() < 0.5:
+            a, b, c, d = -c, -d, a, b
+        else:
+            k = rng.choice((-2, -1, 1, 2))
+            a, b = a + k * c, b + k * d
+    return a, b, c, d
+
+
+def test_green_kernel_and_pairing_are_invariant_under_modular_words():
+    # tau -> (a tau + b)/(c tau + d) with z -> z/(c tau + d) maps the lattice onto
+    # itself; the kernel moves by the constant log|c tau + d| / 2, which drops out
+    # of every degree-zero pairing
+    rng = random.Random(31)
+    for _ in range(30):
+        tau = random_tau(rng, real=0.5, low=0.6, high=1.5)
+        a, b, c, d = random_modular_word(rng, rng.randint(1, 4))
+        scale = c * tau + d
+        image = Torus((a * tau + b) / scale)
+        torus = Torus(tau)
+        points = []
+        while len(points) < 5:
+            z = rng.random() + rng.random() * tau
+            if all(torus.lattice_defect(z - p) > 0.1 for p in points):
+                points.append(z)
+        p, q = points[:2]
+        shifted = green_kernel(image, p / scale, q / scale) - 0.5 * math.log(abs(scale))
+        assert abs(shifted - green_kernel(torus, p, q)) < 1e-11
+
+        weights = ([1, -1], [2, -1, -1])
+        exponents = []
+        for curve, zs in ((torus, points), (image, [z / scale for z in points])):
+            mc = MarkedCurve(curve)
+            d1 = ComplexDivisor(mc, integral=list(zip(zs[:2], weights[0])))
+            d2 = ComplexDivisor(mc, integral=list(zip(zs[2:], weights[1])))
+            exponents.append(pairing_exponent(mc, d1, d2))
+        assert abs(exponents[0] - exponents[1]) < 1e-11
+
+
+def test_lattice_defect_is_exact_for_skewed_tau():
+    # tau - 5 = 0.01i is a lattice vector, so 0.005i sits halfway to it
+    assert abs(Torus(5 + 0.01j).lattice_defect(0.005j) - 0.005) < 1e-15
+    rng = random.Random(41)
+    for _ in range(200):
+        tau = random_tau(rng, real=6.0, low=0.01, high=3.0)
+        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        brute = min(
+            abs(z - m - n * tau)
+            for n in range(-int(2 * abs(z) / tau.imag) - 2, int(2 * abs(z) / tau.imag) + 3)
+            for m in (round((z - n * tau).real) + k for k in (-1, 0, 1))
+        )
+        assert abs(Torus(tau).lattice_defect(z) - brute) < 1e-12
 
 
 def test_sphere_kernel_values():
@@ -262,6 +353,29 @@ def test_kernel_matrix_torus_lattice_translate_is_coincident():
     assert not defined[0, 0] and kernel[0, 0] == 0.0
     assert distance[0, 0] < TORUS_POINT_TOL
     assert defined[0, 1]
+
+
+@pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j), Torus(2.3 + 0.2j)])
+def test_kernel_matrix_tests_each_pair_once(monkeypatch, curve):
+    cls = type(curve)
+    calls = {"point_distance": 0, "points_equal": 0}
+
+    def counting(name):
+        method = getattr(cls, name)
+
+        def wrapper(self, p, q):
+            calls[name] += 1
+            return method(self, p, q)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cls, name, counting(name))
+    left = [0.1 + 0.2j, 0.55 + 0.35j, 0.3 + 0.9j]
+    right = [0.8 + 0.1j, 0.45 + 0.6j]
+    kernel_matrix(curve, left, right)
+    assert calls == {"point_distance": 6, "points_equal": 0}
+    kernel_matrix(curve, left, left)
+    assert calls == {"point_distance": 6 + 3, "points_equal": 0}
 
 
 @pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j)])
