@@ -4,7 +4,9 @@ Each invocation prints exactly one report document.  The default format
 is JSON with sorted keys and 17-significant-digit floats, so identical
 invocations (including ``--seed``) are byte-identical; ``--format csv``
 flattens the output rows for tabular sweeps.  Complex values are emitted
-as the same literals the argument grammar accepts.
+as the same literals the argument grammar accepts.  A norm or factor whose
+exponential leaves the float range is emitted as ``null`` and named in the
+report's ``out_of_range`` list; no report carries an ``inf`` or ``nan``.
 
 Exit codes: 0 pass, 1 property failure, 2 parse error, 3 domain error.
 """
@@ -12,7 +14,9 @@ Exit codes: 0 pass, 1 property failure, 2 parse error, 3 domain error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 
 from . import __version__
@@ -41,7 +45,7 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
 RECIPROCITY_TOL = 1e-9
-FORMULA_AGREEMENT_TOL = 1e-12
+FORMULA_AGREEMENT_TOL = 1e-12  # times max(1, |exponent|)
 
 
 # --- deterministic serialization -------------------------------------------
@@ -55,9 +59,9 @@ def _canonical(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return format(value, ".17g")
+        return format(value, ".17g") if math.isfinite(value) else "null"
     if isinstance(value, complex):
-        return json.dumps(format_complex(value))
+        return json.dumps(format_complex(value)) if cmath.isfinite(value) else "null"
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
@@ -79,7 +83,9 @@ def _flatten(value, prefix: str = ""):
         for i, v in enumerate(value):
             yield from _flatten(v, f"{prefix}{i}.")
     else:
-        if isinstance(value, float):
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            rendered = ""
+        elif isinstance(value, float):
             rendered = format(value, ".17g")
         elif isinstance(value, complex):
             rendered = format_complex(value)
@@ -110,6 +116,11 @@ def _report(command: str, inputs: dict, outputs: dict, metadata: dict, status: s
         "metadata": metadata,
         "status": status,
     }
+
+
+def _in_range(value: float) -> float | None:
+    """A norm or factor as reported: None unless finite and nonzero."""
+    return value if math.isfinite(value) and value != 0.0 else None
 
 
 # --- shared argument handling -----------------------------------------------
@@ -191,7 +202,9 @@ def _cmd_pairing(args) -> int:
     exponents = [r.exponent for r in results.values()]
     discrepancy = max(exponents) - min(exponents) if len(exponents) > 1 else 0.0
     primary = results[formulas[-1]]
-    agreement_tol = FORMULA_AGREEMENT_TOL * tolerance_scale()
+    norm = _in_range(primary.norm)
+    # relative once |exponent| > 1: beyond 2^13 an absolute 1e-12 is below one ulp
+    agreement_tol = FORMULA_AGREEMENT_TOL * tolerance_scale() * max(1.0, abs(primary.exponent))
     status = "pass" if discrepancy <= agreement_tol else "fail"
     inputs = _curve_inputs(args)
     inputs["d1"] = _describe_divisor(d1)
@@ -201,7 +214,8 @@ def _cmd_pairing(args) -> int:
             "pairing",
             inputs,
             {
-                "norm": primary.norm,
+                "norm": norm,
+                "out_of_range": [] if norm else ["norm"],
                 "exponent": primary.exponent,
                 "hermitian_value": primary.hermitian_value,
                 "per_formula_exponent": {f: r.exponent for f, r in results.items()},
@@ -312,6 +326,12 @@ def _load_momentum_config(path: str):
 def _cmd_string_factor(args) -> int:
     mc, cfg, curve_name = _load_momentum_config(args.config)
     result = string_pairing_factor(mc, cfg)
+    factor = _in_range(result.factor)
+    per_component = {
+        f"nu{nu + 1}": _in_range(value) for nu, value in enumerate(result.per_component)
+    }
+    out_of_range = [] if factor else ["factor"]
+    out_of_range += [f"per_component_factor.{nu}" for nu, value in per_component.items() if not value]
     _emit(
         _report(
             "string-factor",
@@ -321,12 +341,10 @@ def _cmd_string_factor(args) -> int:
                 "n_points": len(cfg),
             },
             {
-                "factor": result.factor,
+                "factor": factor,
                 "exponent": result.exponent,
-                "per_component_factor": {
-                    f"nu{nu + 1}": value
-                    for nu, value in enumerate(result.per_component)
-                },
+                "per_component_factor": per_component,
+                "out_of_range": out_of_range,
             },
             {"diagonal_omitted": result.diagonal_omitted},
             "pass",

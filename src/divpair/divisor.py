@@ -14,6 +14,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .curve import CurveModel, CurvePoint, Sphere, Torus, abel_jacobi_sum, as_point
 from .errors import (
     ContextMismatchError,
@@ -174,10 +176,9 @@ class MarkedCurve:
             if point.at_infinity:
                 raise DomainError("marked points must be affine")
             points.append(curve.reduce_point(point))
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if curve.points_equal(points[i], points[j]):
-                    raise DomainError("marked points must be pairwise distinct")
+        # the upper triangle of one distance pass (``kernel_matrix``'s coincidence test)
+        if len(points) > 1 and np.triu(curve._distance_matrix(points, points) < curve.point_tol, 1).any():
+            raise DomainError("marked points must be pairwise distinct")
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "marks", tuple(points))
 

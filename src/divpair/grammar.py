@@ -1,9 +1,12 @@
 """Shared literal grammar for the library and the CLI.
 
 Complex literals: ``a``, ``ai``, ``a+bi``, ``a-bi`` where ``a`` and ``b``
-are decimals or rationals ``p/q``; whitespace is insignificant; no
-exponent notation.  ``inf`` denotes the sphere's point at infinity and
-``Qk`` (1-based) refers to the k-th marked point.
+are integers, rationals ``p/q`` or decimals; a decimal (a number with a
+decimal point) may carry an exponent of at most three digits, as in
+``1.5e-18`` or ``2.0E+300``; whitespace is insignificant.  ``inf``
+denotes the sphere's point at infinity and ``Qk`` (1-based) refers to the
+k-th marked point.  Every value is read exactly (``fractions.Fraction``)
+and rounded once.
 
 Divisor literals: comma-separated ``coeff@point`` terms, e.g.
 ``"1@2,-1@-2"`` or ``"1/2+2i@Q1,-1/2-2i@Q2"``.  The empty string is the
@@ -22,7 +25,7 @@ from .curve import CurvePoint
 from .divisor import ComplexDivisor, GaussianRational, MarkedCurve
 from .errors import ParseError
 
-_NUMBER_RE = re.compile(r"^[+-]?(\d+/\d+|\d+\.\d*|\.\d+|\d+)$")
+_NUMBER_RE = re.compile(r"^[+-]?(\d+/\d+|(\d+\.\d*|\.\d+)([eE][+-]?\d{1,3})?|\d+)$")
 
 __all__ = [
     "parse_rational",
@@ -52,9 +55,10 @@ def _split_parts(text: str) -> tuple[Fraction, Fraction]:
     if s[-1] in "iI":
         body = s[:-1]
         # find the sign separating the real part from the imaginary part
+        # (a sign right after an exponent marker belongs to the exponent)
         split = -1
         for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-":
+            if body[k] in "+-" and body[k - 1] not in "eE":
                 split = k
                 break
         if split == -1:
@@ -74,7 +78,10 @@ def parse_gaussian_rational(text: str) -> GaussianRational:
 
 def parse_complex(text: str) -> complex:
     re_part, im_part = _split_parts(text)
-    return complex(float(re_part), float(im_part))
+    try:
+        return complex(float(re_part), float(im_part))
+    except OverflowError:
+        raise ParseError(f"complex literal out of float range: {text.strip()!r}") from None
 
 
 def parse_point(text: str, mc: MarkedCurve | None = None):
@@ -148,11 +155,14 @@ def parse_rational_function_spec(text: str):
 def _format_real(x: float) -> str:
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    if "e" in text and "." not in text:  # "1e+22" is not a decimal; "1.0e+22" is
+        text = text.replace("e", ".0e")
+    return text
 
 
 def format_complex(value: complex) -> str:
-    """Literal round-trippable through ``parse_complex``."""
+    """Literal round-trippable through ``parse_complex``, for finite parts."""
     value = complex(value)
     if value.imag == 0:
         return _format_real(value.real)

@@ -252,7 +252,10 @@ def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> tup
     Each contour runs through the seam gap of the support coordinates
     (between the largest coordinate and the smallest plus one), so all
     support points sit in a single period strip of each contour; returns
-    (a_period, b_period, clearance).
+    (a_period, b_period, clearance).  The integrand is evaluated on the
+    torus's reduced modulus: with (theta1'/theta1)(w | tau) =
+    s (theta1'/theta1)(s*w | tau') + beta*w, each segment is integrated in
+    the coordinate s*z and the linear part is added in closed form.
     """
     tau = torus.tau
     coords = [torus.lattice_coords(point.z) for point, _ in items]
@@ -262,21 +265,29 @@ def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> tup
     b0 = _boundary_offset(b_vals)
     clearance = min(_circular_gap(a0, a_vals), _circular_gap(b0, b_vals))
 
-    def integrand(z: complex) -> complex:
-        total = 0j
-        for point, coeff in items:
-            total += coeff * theta1_log_derivative(z - point.z, tau)
-        return total
-
     panels = 24
     if clearance < 0.05:
         panels = 48
     if clearance < 0.02:
         panels = 96
-    a_start = torus.from_lattice_coords(0.0, b0)
-    b_start = torus.from_lattice_coords(a0, 0.0)
-    a_period = _segment_integral(integrand, a_start, 1.0 + 0j, panels, 32)
-    b_period = _segment_integral(integrand, b_start, tau, panels, 32)
+    scale, reduced, slope = torus._scale, torus._reduced_tau, torus._slope
+    scaled = [(scale * point.z, coeff) for point, coeff in items]
+    weight = sum(coeff for _, coeff in items)
+    moment = sum(coeff * point.z for point, coeff in items)
+
+    def integrand(z: complex) -> complex:
+        total = 0j
+        for point, coeff in scaled:
+            total += coeff * theta1_log_derivative(z - point, reduced)
+        return total
+
+    def period(start: complex, direction: complex) -> complex:
+        # sum_P n_P * beta * (integral of (z - P) dz along the segment)
+        linear = slope * direction * (weight * (start + 0.5 * direction) - moment)
+        return _segment_integral(integrand, scale * start, scale * direction, panels, 32) + linear
+
+    a_period = period(torus.from_lattice_coords(0.0, b0), 1.0 + 0j)
+    b_period = period(torus.from_lattice_coords(a0, 0.0), tau)
     return a_period, b_period, clearance
 
 

@@ -199,9 +199,21 @@ def check_weil_reciprocity(
     return abs(symbol_fg / symbol_gf - 1.0)
 
 
+def _exp(exponent: float) -> float:
+    """e^exponent for a norm or factor: inf beyond the float range, never OverflowError."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PairingResult:
-    """Norm value of the metrized pairing together with its exponent data."""
+    """Norm value of the metrized pairing together with its exponent data.
+
+    ``norm`` is e^exponent: inf or 0 when that leaves the float range,
+    while ``exponent`` stays finite.
+    """
 
     norm: float
     exponent: float
@@ -280,7 +292,7 @@ def pairing_norm(
     n, m, kernel = _pairing_matrix(mc, d1, d2, kernel_shift)
     exponent = float(contract(n, m, kernel))
     return PairingResult(
-        norm=math.exp(exponent),
+        norm=_exp(exponent),
         exponent=exponent,
         hermitian_value=complex(n @ kernel @ m.conj()),
         formula=formula,

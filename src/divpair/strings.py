@@ -20,6 +20,7 @@ import numpy as np
 from .curve import kernel_matrix
 from .divisor import ComplexDivisor, GaussianRational, MarkedCurve
 from .errors import DomainError
+from .pairing import _exp
 
 DIMENSION = 13
 CONSERVATION_TOL = 1e-12
@@ -114,7 +115,8 @@ class StringFactor:
     """Pairing factor of a momentum configuration, with per-component detail.
 
     ``diagonal_omitted`` records that coincident-point kernel terms were
-    skipped in every self-pairing exponent.
+    skipped in every self-pairing exponent.  A factor is inf or 0 when its
+    exponential leaves the float range.
     """
 
     factor: float
@@ -138,7 +140,7 @@ def string_pairing_factor(mc: MarkedCurve, cfg: MomentumConfig) -> StringFactor:
     per_component = np.einsum("iv,ij,jv->v", momenta, kernel, momenta.conj()).real
     total_exponent = math.fsum(per_component)
     return StringFactor(
-        factor=math.exp(total_exponent),
+        factor=_exp(total_exponent),
         exponent=total_exponent,
-        per_component=tuple(math.exp(e) for e in per_component),
+        per_component=tuple(_exp(e) for e in per_component),
     )

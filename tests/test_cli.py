@@ -10,6 +10,7 @@ import pytest
 
 import divpair
 from divpair.cli import EXIT_DOMAIN, EXIT_PARSE, EXIT_PASS, main
+from divpair.grammar import format_complex, parse_complex
 from divpair.mvf import JACOBI_LATTICE_TOL, PERIOD_TOL
 from divpair.selftest import tolerance_scale
 
@@ -111,6 +112,73 @@ def test_class_command(capsys):
     assert report["outputs"]["degree"] == 0
     assert report["outputs"]["jacobian_mod_lattice"] == "0.5"
     assert report["outputs"]["principal"] is False
+
+
+def test_class_report_literals_parse_back(capsys):
+    # b_period is -4.5e-18-3.14...i here: an exponent-notation literal
+    code, out, _ = run(
+        capsys,
+        "class", "--curve", "torus", "--tau", "i", "--divisor", "1@0.25,-1@0.75",
+    )
+    assert code == EXIT_PASS
+    outputs = json.loads(out)["outputs"]
+    literals = [outputs["jacobian_mod_lattice"], outputs["monodromy"]["a_period"],
+                outputs["monodromy"]["b_period"]]
+    assert any("e-" in text for text in literals)
+    for text in literals:
+        assert format_complex(parse_complex(text)) == text
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pairing_norm_out_of_float_range_is_null_and_flagged(capsys, sign):
+    # exponent +-35702.9: e^exponent overflows (sign 1) or underflows to 0 (sign -1)
+    code, out, err = run(
+        capsys,
+        "pairing", "--curve", "sphere", "--d1", "400@0,-400@1",
+        f"--d2={-400 * sign}@0.5000001,{400 * sign}@5",
+    )
+    assert code == EXIT_PASS, err
+    outputs = strict_json(out)["outputs"]
+    assert outputs["norm"] is None
+    assert outputs["out_of_range"] == ["norm"]
+    assert abs(outputs["exponent"] - sign * 35702.904210273613) < 1e-8
+    assert "inf" not in out and "nan" not in out
+
+
+def test_string_factor_out_of_float_range_is_null_and_flagged(tmp_path, capsys):
+    # exponent -2 log|Q1 - Q2| = -1381.6 on nu1; the other components give factor 1
+    config = {
+        "curve": "sphere",
+        "marks": ["0", "1.0e300"],
+        "momenta": [["1"] + ["0"] * 12, ["-1"] + ["0"] * 12],
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, _ = run(capsys, "string-factor", "--config", str(path))
+    assert code == EXIT_PASS
+    outputs = strict_json(out)["outputs"]
+    assert outputs["factor"] is None and outputs["per_component_factor"]["nu1"] is None
+    assert outputs["per_component_factor"]["nu2"] == 1
+    assert outputs["out_of_range"] == ["factor", "per_component_factor.nu1"]
+    assert abs(outputs["exponent"] + 2 * 300 * math.log(10)) < 1e-9
+
+
+def test_pairing_norm_in_range_carries_an_empty_flag_list(capsys):
+    code, out, _ = run(
+        capsys,
+        "pairing", "--curve", "sphere",
+        "--d1", "1@1,-1@-1", "--d2", "1@2,-1@-2",
+    )
+    assert code == EXIT_PASS
+    outputs = strict_json(out)["outputs"]
+    assert outputs["out_of_range"] == [] and abs(outputs["norm"] - 1 / 9) < 1e-12
 
 
 def test_class_report_states_the_applied_tolerances(capsys):

@@ -355,27 +355,125 @@ def test_kernel_matrix_torus_lattice_translate_is_coincident():
     assert defined[0, 1]
 
 
-@pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j), Torus(2.3 + 0.2j)])
-def test_kernel_matrix_tests_each_pair_once(monkeypatch, curve):
-    cls = type(curve)
-    calls = {"point_distance": 0, "points_equal": 0}
+def count_calls(monkeypatch, cls, names):
+    """Replace each named method of cls by a counting wrapper; returns the counts."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         method = getattr(cls, name)
 
-        def wrapper(self, p, q):
+        def wrapper(self, *args):
             calls[name] += 1
-            return method(self, p, q)
+            return method(self, *args)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(cls, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j), Torus(2.3 + 0.2j)])
+def test_kernel_matrix_tests_each_pair_once(monkeypatch, curve):
+    # one distance pass per call is the only coincidence test: no per-pair comparison
+    calls = count_calls(monkeypatch, type(curve), ("_distance_matrix", "point_distance", "points_equal"))
     left = [0.1 + 0.2j, 0.55 + 0.35j, 0.3 + 0.9j]
     right = [0.8 + 0.1j, 0.45 + 0.6j]
     kernel_matrix(curve, left, right)
-    assert calls == {"point_distance": 6, "points_equal": 0}
+    assert calls == {"_distance_matrix": 1, "point_distance": 0, "points_equal": 0}
     kernel_matrix(curve, left, left)
-    assert calls == {"point_distance": 6 + 3, "points_equal": 0}
+    assert calls == {"_distance_matrix": 2, "point_distance": 0, "points_equal": 0}
+
+
+@pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j), Torus(2.3 + 0.2j)])
+def test_kernel_matrix_evaluates_each_defined_entry_once(monkeypatch, curve):
+    calls = count_calls(monkeypatch, type(curve), ("kernel",))
+    left = [0.1 + 0.2j, 0.55 + 0.35j, 0.3 + 0.9j]
+    kernel_matrix(curve, left, [0.8 + 0.1j, left[1]])
+    assert calls == {"kernel": 5}
+    kernel_matrix(curve, left, left)
+    assert calls == {"kernel": 5 + 3}
+
+
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, 2.3 + 0.2j, -7.1 + 0.004j, 0.45 + 0.05j, 0.2 + 30j])
+def test_kernel_matrix_distances_equal_point_distance_bit_for_bit(tau):
+    rng = random.Random(53)
+    torus = Torus(tau)
+    left = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(12)]
+    right = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(9)]
+    right.append(left[0] + 2 - 3 * tau)  # a lattice translate: distance ~ 0
+    for first, second in ((left, right), (left, left)):
+        _, distance, defined = kernel_matrix(torus, first, second)
+        for i, p in enumerate(first):
+            for j, q in enumerate(second):
+                # a mirrored entry is the upper triangle's
+                pair = (q, p) if first is second and j < i else (p, q)
+                expected = 0.0 if first is second and i == j else torus.point_distance(*pair)
+                assert distance[i, j] == expected
+                assert defined[i, j] == (expected >= TORUS_POINT_TOL)
+
+
+def test_sphere_distance_pass_equals_point_distance_bit_for_bit():
+    rng = random.Random(59)
+    inf = CurvePoint.infinity()
+    points = [complex(rng.gauss(0, 1e3), rng.gauss(0, 1e-3)) for _ in range(10)] + [inf, 1e-300j]
+    _, distance, _ = kernel_matrix(Sphere(), points, points[::-1])
+    for i, p in enumerate(points):
+        for j, q in enumerate(points[::-1]):
+            assert distance[i, j] == Sphere().point_distance(p, q)
+
+
+def test_marked_curve_checks_distinctness_in_one_pass(monkeypatch):
+    torus = Torus(2.3 + 0.2j)
+    calls = count_calls(monkeypatch, Torus, ("_distance_matrix", "point_distance", "points_equal"))
+    marks = [0.1 + 0.05j, 0.55 + 0.15j, 0.3 + 0.1j, 0.8 + 0.02j]
+    MarkedCurve(torus, marks)
+    assert calls == {"_distance_matrix": 1, "point_distance": 0, "points_equal": 0}
+    with pytest.raises(DomainError):
+        MarkedCurve(torus, marks + [marks[2] - 1 + 2 * torus.tau + TORUS_POINT_TOL / 4])
+    with pytest.raises(DomainError):
+        MarkedCurve(Sphere(), [1.0, 2.0, 1.0 + SPHERE_POINT_TOL / 2])
+    MarkedCurve(Sphere(), [1.0, 2.0, 1.0 + 2 * SPHERE_POINT_TOL])
+
+
+def mpmath_kernel(mpmath, p, q, tau):
+    """g(p, q) on C/(Z + tau*Z) to 50 digits: tau reduced by exact S and T steps,
+    g_tau(w) = g_{-1/tau}(w/tau) - log|tau|/2, w centred, theta1 from its series."""
+    mp = mpmath.mp
+    t, w, constant = mpmath.mpc(tau), mpmath.mpc(p) - mpmath.mpc(q), mpmath.mpf(0)
+    while True:
+        t -= mpmath.nint(t.real)
+        if abs(t) >= 1:
+            break
+        constant -= mpmath.log(abs(t)) / 2
+        w, t = w / t, -1 / t
+    w -= mpmath.nint(w.imag / t.imag) * t
+    w -= mpmath.nint(w.real)
+    theta = 2 * mpmath.fsum(
+        (-1) ** k * mpmath.exp(1j * mp.pi * t * (k + 0.5) ** 2) * mpmath.sin((2 * k + 1) * mp.pi * w)
+        for k in range(30)
+    )
+    return mpmath.log(abs(theta)) - mp.pi * w.imag ** 2 / t.imag + constant
+
+
+@pytest.mark.parametrize("low, high, bound", [(1e-3, 1e-2, 3e-13), (1e-2, 0.1, 1e-13), (0.1, 1.0, 2e-14)])
+def test_torus_kernel_matches_extended_precision_at_small_im_tau(low, high, bound):
+    # the Gaussian term taken at the centred reduced point cannot cancel against
+    # log|theta1|; taken at the uncentred point, the [1e-3, 1e-2] band reached 1.1e-12
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(7)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(40):
+            tau = complex(rng.uniform(-0.5, 0.5), low * (high / low) ** rng.random())
+            torus = Torus(tau)
+            points = [rng.uniform(-1, 1) + rng.uniform(-1, 1) * tau for _ in range(4)]
+            kernel, _, _ = kernel_matrix(torus, points[:2], points[2:])
+            for i, p in enumerate(points[:2]):
+                for j, q in enumerate(points[2:]):
+                    assert kernel[i, j] == green_kernel(torus, p, q)
+                    reference = mpmath_kernel(mpmath, p, q, tau)
+                    worst = max(worst, float(abs(kernel[i, j] - reference) / max(1, abs(reference))))
+    assert worst < bound
 
 
 @pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j)])

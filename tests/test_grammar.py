@@ -94,3 +94,34 @@ def test_format_gaussian_rational_round_trip():
             Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
         )
         assert parse_gaussian_rational(str(value)) == value
+
+
+def test_exponent_literals_round_trip_at_every_magnitude():
+    import random
+
+    rng = random.Random(12)
+    for exponent in range(-300, 301, 7):
+        for _ in range(4):
+            x = rng.uniform(1, 10) * 10.0 ** exponent
+            for value in (complex(x, 0), complex(-x, 0), complex(0, x), complex(0, -x),
+                          complex(x, -x / 3), complex(-x / 7, x)):
+                text = format_complex(value)
+                assert parse_complex(text) == value, text
+    for value in (1e22, -1e17j, 1e300 + 1e-300j):  # .17g prints these without a point
+        text = format_complex(value)
+        assert parse_complex(text) == value, text
+
+
+def test_exponent_signs_are_not_part_separators():
+    assert parse_complex("-3.7583943430614565e-18-3.1415926535897878i") == complex(
+        -3.7583943430614565e-18, -3.1415926535897878
+    )
+    assert parse_complex("1.0e-18i") == 1e-18j
+    assert parse_complex("2.5E+3-1.5e-3i") == 2500 - 0.0015j
+    assert parse_gaussian_rational("1.5e-2") == GaussianRational(Fraction(3, 200))
+    # an exponent needs a decimal mantissa and at most three digits
+    for bad in ("1e5", "1.0e", "1.0e+", "1.0e1000", "e5", "1.0e+-3", "1.0e5.5"):
+        with pytest.raises(ParseError):
+            parse_complex(bad)
+    with pytest.raises(ParseError):  # a literal beyond the float range
+        parse_complex("2.0e308")

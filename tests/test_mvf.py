@@ -203,3 +203,38 @@ def test_power_product_orders_sum_to_zero():
             total = total + e
         assert total.is_zero()
         assert orders[-1][0].at_infinity
+
+
+@pytest.mark.parametrize("tau", [2.7 + 0.3j, -1.2 + 0.6j, 0.45 + 0.2j])
+def test_cycle_periods_off_the_fundamental_domain_match_the_unreduced_integrand(tau):
+    # the periods are integrated in the coordinate s*z of the reduced modulus, with
+    # the linear part of the log-derivative added in closed form; the same contour
+    # integrated with theta1_log_derivative(z - P, tau) at every node must agree
+    from divpair.curve import theta1_log_derivative
+    from divpair.mvf import _boundary_offset, _cycle_periods, _segment_integral
+
+    t = Torus(tau)
+    mc = MarkedCurve(t)
+    p, r = t.from_lattice_coords(0.31, 0.22), t.from_lattice_coords(0.55, 0.13)
+    for support in ([(p, 2), (r, -1), (2 * p - r, -1), (0.7 * tau, 1), (0, -1)], [(p, 1), (r, 1)]):
+        items = ComplexDivisor(mc, integral=support).support_items()
+        a_period, b_period, clearance = _cycle_periods(t, items)
+
+        def integrand(z, items=items):
+            return sum(coeff * theta1_log_derivative(z - point.z, tau) for point, coeff in items)
+
+        coords = [t.lattice_coords(point.z) for point, _ in items]
+        a0 = _boundary_offset([a % 1.0 for a, _ in coords])
+        b0 = _boundary_offset([b % 1.0 for _, b in coords])
+        panels = 24 if clearance >= 0.05 else 48 if clearance >= 0.02 else 96
+        direct_a = _segment_integral(integrand, t.from_lattice_coords(0.0, b0), 1.0 + 0j, panels, 32)
+        direct_b = _segment_integral(integrand, t.from_lattice_coords(a0, 0.0), tau, panels, 32)
+        assert abs(a_period - direct_a) < 1e-9 * max(1.0, abs(direct_a))
+        assert abs(b_period - direct_b) < 1e-9 * max(1.0, abs(direct_b))
+
+    principal = ComplexDivisor(mc, integral=[(p, 2), (r, -1), (2 * p - r, -1)])
+    cert = is_principal(mc, principal)
+    assert cert.principal and cert.periods_integral and cert.period_defect < 1e-9
+    shifted = ComplexDivisor(mc, integral=[(p, 2), (r, -1), (2 * p - r + 0.1, -1)])
+    cert = is_principal(mc, shifted)
+    assert not cert.principal and not cert.periods_integral

@@ -318,3 +318,16 @@ def test_each_kernel_consumer_builds_one_kernel_matrix(monkeypatch):
         shapes.clear()
         call()
         assert shapes == [shape]
+
+
+def test_norms_beyond_the_float_range_are_inf_or_zero_not_errors():
+    mc = MarkedCurve(Sphere())
+    d1 = ComplexDivisor(mc, integral=[(0, 400), (1, -400)])
+    for sign, norm in ((1, math.inf), (-1, 0.0)):
+        d2 = ComplexDivisor(mc, integral=[(0.5000001, -400 * sign), (5, 400 * sign)])
+        result = pairing_norm(mc, d1, d2)
+        assert result.norm == norm and math.isfinite(result.exponent)
+    far = MarkedCurve(Sphere(), [0, 1e300])
+    momenta = MomentumConfig([[1] + [0] * 12, [-1] + [0] * 12])
+    factor = string_pairing_factor(far, momenta)  # exponent -1381.6
+    assert factor.factor == 0.0 and factor.per_component == (0.0,) + (1.0,) * 12
