@@ -113,6 +113,10 @@ class CurveModel:
         """The bare kernel formula; callers exclude coincident and infinite pairs."""
         raise NotImplementedError
 
+    def _kernel_values(self, differences) -> list[float]:
+        """The bare kernel at each complex difference P - Q, as a list."""
+        raise NotImplementedError
+
     def _distance_matrix(self, left, right) -> np.ndarray:
         """``point_distance(P_i, Q_j)`` for two CurvePoint sequences, equal to it bit for bit."""
         raise NotImplementedError
@@ -149,7 +153,10 @@ class Sphere(CurveModel):
         return distance
 
     def kernel(self, p, q) -> float:
-        return math.log(abs(as_point(p).z - as_point(q).z))
+        return self._kernel_values([as_point(p).z - as_point(q).z])[0]
+
+    def _kernel_values(self, differences) -> list[float]:
+        return [math.log(abs(w)) for w in differences]
 
 
 @dataclass(frozen=True)
@@ -157,8 +164,9 @@ class Torus(CurveModel):
     """The complex torus C/(Z + tau*Z), tau in the upper half-plane.
 
     tau is reduced once, at construction (``_reduce_modulus``): every kernel
-    entry and lattice distance starts from w' = s*w on the torus of the
-    reduced modulus tau', which describes the same lattice scaled by s.
+    entry, theta1 value and lattice distance starts from w' = s*w on the torus
+    of the reduced modulus tau', which describes the same lattice scaled by s,
+    with theta1 tables of tau' built once: Q^1..Q^N, Q^0..Q^(N-1) and prod (1 - Q^n).
     """
 
     tau: complex = 1j
@@ -169,11 +177,23 @@ class Torus(CurveModel):
         tau = _require_upper_half(self.tau)
         object.__setattr__(self, "tau", tau)
         reduced, scale, log_constant, quadratic = _reduce_modulus(tau)
+        # N from |Q|^N (1 + |x| + 1/|x|) < 1e-17 at the worst centred point,
+        # Im z' = Im tau'/2, where |x| = e^(-h): at most nine terms, since Im tau' >= 0.86
+        h, edge = math.pi * reduced.imag, math.exp(-math.pi * reduced.imag)
+        terms = int((h + math.log(1.0 + edge + edge * edge) - _LOG_THETA_CUTOFF) / (2.0 * h)) + 1
+        nome, powers, euler = cmath.exp(2j * math.pi * reduced), [1 + 0j], 1 + 0j
+        for _ in range(terms):
+            powers.append(powers[-1] * nome)
+            euler *= 1.0 - powers[-1]
         # plain data, not dataclass fields: equality and hashing stay by tau
         object.__setattr__(self, "_reduced_tau", reduced)
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_kernel_constant", log_constant.real)
+        object.__setattr__(self, "_log_constant", log_constant)
         object.__setattr__(self, "_slope", 2.0 * quadratic)
+        object.__setattr__(self, "_nome_pairs", tuple(zip(powers[1:], powers[:-1])))
+        object.__setattr__(self, "_euler", euler)
+        # per-entry kernel constant: C + log|prod (1 - Q^n)| - pi Im(tau')/4
+        object.__setattr__(self, "_kernel_constant", log_constant.real + math.log(abs(euler)) - 0.25 * h)
 
     def lattice_coords(self, z: complex) -> tuple[float, float]:
         """Real coordinates (a, b) with z = a + b*tau."""
@@ -232,17 +252,85 @@ class Torus(CurveModel):
         return nearest / abs(s)
 
     def kernel(self, p, q) -> float:
-        """g_tau(w) = g_tau'(s*w) + C, C = -1/2 sum log|tau_k|, with w = p - q.
+        return self._kernel_values([as_point(p).z - as_point(q).z])[0]
 
-        The kernel of the reduced modulus is doubly periodic, so it is taken at
-        the centred point z' of s*w (``_theta1_parts``):
-            g_tau'(z') = log|P| + pi Im(z') - pi Im(tau')/4 - pi Im(z')^2 / Im(tau'),
-        in which no term grows with the lattice translation or cancels another.
+    def _kernel_values(self, differences) -> list[float]:
+        """g_tau(w) = g_tau'(s*w) + C, C = -1/2 sum log|tau_k|, for each difference w = P - Q.
+
+        The kernel of the reduced modulus is even and doubly periodic, so it is
+        taken at the centred point z' of s*w with Im z' >= 0:
+            g_tau'(z') = log|(1 - x) prod_n (1 - Q^n x)(1 - Q^(n-1) y)| + pi Im z' (1 - Im z'/Im tau') + K,
+        x = exp(2 pi i z'), y = exp(2 pi i (tau' - z')), with every z-free term in the
+        per-torus constant K; no term grows with the lattice translation or cancels another.
         """
-        tau = self._reduced_tau
-        z, _, _, _, value = _theta1_parts(self._scale * (as_point(p).z - as_point(q).z), tau)
-        y = z.imag
-        return math.log(abs(value)) + math.pi * (y - 0.25 * tau.imag - y * y / tau.imag) + self._kernel_constant
+        tau, scale, pairs, constant = self._reduced_tau, self._scale, self._nome_pairs, self._kernel_constant
+        height, exp, log, pi, two_pi_i = tau.imag, cmath.exp, math.log, math.pi, 2j * math.pi
+        values = []
+        for w in differences:
+            z = scale * w
+            z -= round(z.imag / height) * tau
+            z -= round(z.real)
+            if z.imag < 0:
+                z = -z
+            x, y = exp(two_pi_i * z), exp(two_pi_i * (tau - z))
+            product = 1.0 - x
+            for qn, qs in pairs:
+                product *= (1.0 - qn * x) * (1.0 - qs * y)
+            im = z.imag
+            values.append(log(abs(product)) + pi * im * (1.0 - im / height) + constant)
+        return values
+
+    def _log_derivative_sum(self, z: complex, items) -> complex:
+        """sum_P n_P (theta1'/theta1)(z - P | tau') over (P, n_P) items, z and P in reduced coordinates.
+
+        Each z - P is centred as in ``_kernel_values``, with (theta1'/theta1)(w + tau') =
+        (theta1'/theta1)(w) - 2 pi i and oddness; then
+            (theta1'/theta1)(z') = -i pi (1 + x)/(1 - x) + 2 pi i sum_n [Q^(n-1) y/(1 - Q^(n-1) y) - Q^n x/(1 - Q^n x)].
+        """
+        tau, pairs = self._reduced_tau, self._nome_pairs
+        height, exp, pi_i, two_pi_i = tau.imag, cmath.exp, 1j * math.pi, 2j * math.pi
+        total = 0j
+        for point, coeff in items:
+            w = z - point
+            n = round(w.imag / height)
+            w -= n * tau
+            w -= round(w.real)
+            odd = w.imag < 0
+            if odd:
+                w = -w
+            x, y = exp(two_pi_i * w), exp(two_pi_i * (tau - w))
+            series = 0j
+            for qn, qs in pairs:
+                u, v = qs * y, qn * x
+                series += (u - v) / ((1.0 - u) * (1.0 - v))  # u/(1 - u) - v/(1 - v)
+            value = pi_i * (2.0 * series - (1.0 + x) / (1.0 - x))
+            total += coeff * ((-value if odd else value) - two_pi_i * n)
+        return total
+
+    def _theta1(self, w: complex) -> complex:
+        """theta1(w | tau) = exp(c + a w^2) theta1(s w | tau') (``_reduce_modulus``).
+
+        With s w = (-1)^odd z' + m + n tau' centred as in ``_kernel_values``,
+            theta1(s w) = (-1)^(m + n + odd) exp(-i pi n (n tau' + 2 (-1)^odd z')) theta1(z'),
+            theta1(z') = i exp(i pi tau'/4 - i pi z') (1 - x) prod_n (1 - Q^n)(1 - Q^n x)(1 - Q^(n-1) y),
+        by theta1(z + 1) = -theta1(z), theta1(z + tau) = -exp(-i pi tau - 2 pi i z) theta1(z) and oddness.
+        """
+        tau, pi_i, z = self._reduced_tau, 1j * math.pi, self._scale * w
+        n = round(z.imag / tau.imag)
+        z -= n * tau
+        m = round(z.real)
+        z -= m
+        odd = z.imag < 0
+        if odd:
+            z = -z
+        x, y = cmath.exp(2.0 * pi_i * z), cmath.exp(2.0 * pi_i * (tau - z))
+        product = (1.0 - x) * self._euler
+        for qn, qs in self._nome_pairs:
+            product *= (1.0 - qn * x) * (1.0 - qs * y)
+        log_scale = self._log_constant + 0.5 * self._slope * w * w + pi_i * (m + n + odd + 0.5 + 0.25 * tau - z)
+        if n:
+            log_scale -= pi_i * n * (n * tau + 2.0 * (-z if odd else z))
+        return cmath.exp(log_scale) * product
 
 
 def _require_upper_half(tau: complex) -> complex:
@@ -286,91 +374,24 @@ def _differences(left, right) -> tuple[np.ndarray, np.ndarray]:
     return p.real[:, None] - q.real[None, :], p.imag[:, None] - q.imag[None, :]
 
 
-def _centred(z: complex, tau: complex):
-    """Centre z in the period cell of a reduced tau and turn it into Im z >= 0 by oddness.
-
-    Returns (z', n, m, odd, Q, x, y, terms) with z = (-1)^odd z' + m + n*tau,
-    Q = exp(2*pi*i*tau), x = exp(2*pi*i*z'), y = exp(2*pi*i*(tau - z')), and the
-    number of product factors or series terms solved from
-    |Q|^terms (1 + |x| + 1/|x|) < 1e-17 (at most nine, since |x| <= 1 and Im tau >= 0.86).
-    """
-    n = round(z.imag / tau.imag)
-    z -= n * tau
-    m = round(z.real)
-    z -= m
-    odd = z.imag < 0
-    if odd:
-        z = -z
-    x = cmath.exp(2j * math.pi * z)
-    log_bound = math.log(1.0 + abs(x) + abs(x * x)) + 2.0 * math.pi * z.imag
-    terms = int((log_bound - _LOG_THETA_CUTOFF) / (2.0 * math.pi * tau.imag)) + 1
-    return (
-        z, n, m, odd, cmath.exp(2j * math.pi * tau), x, cmath.exp(2j * math.pi * (tau - z)), terms
-    )
-
-
-def _theta1_parts(z: complex, tau: complex) -> tuple[complex, int, int, bool, complex]:
-    """theta1(z | tau) for a reduced tau, as (z', n, m, odd, P) with every large multiplier apart.
-
-    With z = (-1)^odd z' + m + n*tau centred by ``_centred``,
-        theta1(z) = (-1)^(m + n + odd) exp(-i*pi*n*(n*tau + 2*(z - m - n*tau))) theta1(z'),
-        theta1(z') = i exp(i*pi*tau/4 - i*pi*z') P,
-        P = (1 - x) prod_{n>=1} (1 - Q^n)(1 - Q^n x)(1 - Q^(n-1) y),
-    by theta1(z + 1) = -theta1(z), theta1(z + tau) = -exp(-i*pi*tau - 2*pi*i*z) theta1(z)
-    and oddness.
-    """
-    z, n, m, odd, nome, x, qy, terms = _centred(z, tau)
-    value, qn = 1.0 - x, nome
-    for _ in range(terms):
-        value *= (1.0 - qn) * (1.0 - qn * x) * (1.0 - qy)
-        qn *= nome
-        qy *= nome
-    return z, n, m, odd, value
-
-
 def theta1(z: complex, tau: complex) -> complex:
     """First Jacobi theta function theta1(z | tau), for any tau with Im tau > 0.
 
     theta1(z) = 2 sum_{k>=0} (-1)^k exp(i*pi*tau*(k + 1/2)^2) sin((2k + 1) pi z), evaluated
-    as a triple product of at most nine factors after SL2(Z) reduction (``_reduce_modulus``,
-    ``_theta1_parts``).
+    as a triple product of at most nine factors after SL2(Z) reduction, with the
+    tables of ``Torus(tau)`` (``Torus._theta1``).
     """
-    z, tau = complex(z), _require_upper_half(tau)
-    log_scale = 0j
-    if abs(tau.real) > 0.5 or tau.real * tau.real + tau.imag * tau.imag < 1.0:
-        tau, scale, log_constant, quadratic = _reduce_modulus(tau)
-        z, log_scale = scale * z, log_constant + quadratic * z * z
-    centred, n, m, odd, value = _theta1_parts(z, tau)
-    log_scale += 1j * math.pi * (m + n + odd + 0.5 + 0.25 * tau - centred)
-    if n:
-        log_scale -= 1j * math.pi * n * (n * tau + 2.0 * (-centred if odd else centred))
-    return cmath.exp(log_scale) * value
+    return Torus(tau)._theta1(complex(z))
 
 
 def theta1_log_derivative(z: complex, tau: complex) -> complex:
     """theta1'(z|tau) / theta1(z|tau), for any tau with Im tau > 0.
 
-    tau is reduced as in ``theta1`` and z centred by ``_centred``, with
-    (theta1'/theta1)(z + tau) = (theta1'/theta1)(z) - 2*pi*i; then, with its Q, x, y,
-        -i*pi (1 + x)/(1 - x) + 2*pi*i sum_{n>=1} [Q^(n-1) y/(1 - Q^(n-1) y) - Q^n x/(1 - Q^n x)].
+    (theta1'/theta1)(z | tau) = s (theta1'/theta1)(s*z | tau') + beta*z on the reduced
+    modulus of ``Torus(tau)``, evaluated by ``Torus._log_derivative_sum``.
     """
-    z, tau = complex(z), _require_upper_half(tau)
-    scale = None
-    if abs(tau.real) > 0.5 or tau.real * tau.real + tau.imag * tau.imag < 1.0:
-        tau, scale, _, quadratic = _reduce_modulus(tau)
-        z, slope = scale * z, 2.0 * quadratic * z
-    z, n, _, odd, nome, x, qy, terms = _centred(z, tau)
-    series, qx = 0j, nome * x
-    for _ in range(terms):
-        series += qy / (1.0 - qy) - qx / (1.0 - qx)
-        qx *= nome
-        qy *= nome
-    total = 1j * math.pi * (2.0 * series - (1.0 + x) / (1.0 - x))
-    if odd:
-        total = -total
-    if n:
-        total -= 2j * math.pi * n
-    return total if scale is None else scale * total + slope
+    torus, z = Torus(tau), complex(z)
+    return torus._scale * torus._log_derivative_sum(torus._scale * z, ((0j, 1),)) + torus._slope * z
 
 
 def green_kernel(curve: CurveModel, p, q) -> float:
@@ -398,9 +419,10 @@ def kernel_matrix(curve: CurveModel, left, right) -> tuple[np.ndarray, np.ndarra
     mask of entries where the kernel is defined.  A pair that coincides
     (distance below the curve's point tolerance) or involves the sphere's
     point at infinity (infinite distance) is masked, never evaluated, and
-    its kernel entry is 0; ``curve.kernel`` is called once per defined
-    entry.  When ``left is right`` only the upper triangle is evaluated and
-    mirrored, so the matrix is exactly symmetric.
+    its kernel entry is 0; the defined entries are evaluated in one
+    ``curve._kernel_values`` call on their differences.  When ``left is
+    right`` only the upper triangle is evaluated and mirrored, so the
+    matrix is exactly symmetric.
     """
     symmetric = left is right
     left = [as_point(p) for p in left]
@@ -412,8 +434,8 @@ def kernel_matrix(curve: CurveModel, left, right) -> tuple[np.ndarray, np.ndarra
     defined = (distance >= curve.point_tol) & (distance < math.inf)
     kernel = np.zeros(distance.shape)
     rows, cols = np.nonzero(np.triu(defined, 1) if symmetric else defined)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        kernel[i, j] = curve.kernel(left[i], right[j])
+    lz, rz = [p.z for p in left], [q.z for q in right]
+    kernel[rows, cols] = curve._kernel_values([lz[i] - rz[j] for i, j in zip(rows.tolist(), cols.tolist())])
     if symmetric:
         kernel += kernel.T
     return kernel, distance, defined

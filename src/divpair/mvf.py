@@ -26,7 +26,6 @@ from .curve import (
     Torus,
     abel_jacobi_sum,
     as_point,
-    theta1_log_derivative,
 )
 from .divisor import ComplexDivisor, GaussianRational, MarkedCurve
 from .errors import DomainError
@@ -203,6 +202,9 @@ class PrincipalityCertificate:
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# a quadrature panel spans at most this many distances to the nearest pole
+_PANEL_RATIO = 4.0
+_MAX_PANELS = 4096
 
 
 def _gauss_nodes(order_: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +224,14 @@ def _segment_integral(f, z_start: complex, direction: complex, panels: int, orde
         for x, w in zip(nodes.tolist(), weights.tolist()):
             total += w * f(z_start + (base + width * x) * direction)
     return total * (width * direction)
+
+
+def _panel_count(clearance: float, length_over_distance: float) -> int:
+    """Gauss-Legendre panels along one contour: 24, 48 or 96 by the clearance, and more
+    where the contour is long against its distance to the nearest pole (a skewed tau),
+    so that no panel spans more than _PANEL_RATIO such distances; at most _MAX_PANELS."""
+    panels = 24 if clearance >= 0.05 else 48 if clearance >= 0.02 else 96
+    return min(max(panels, math.ceil(length_over_distance / _PANEL_RATIO)), _MAX_PANELS)
 
 
 def _boundary_offset(values: list[float]) -> float:
@@ -263,31 +273,26 @@ def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> tup
     b_vals = [b % 1.0 for _, b in coords]
     a0 = _boundary_offset(a_vals)
     b0 = _boundary_offset(b_vals)
-    clearance = min(_circular_gap(a0, a_vals), _circular_gap(b0, b_vals))
-
-    panels = 24
-    if clearance < 0.05:
-        panels = 48
-    if clearance < 0.02:
-        panels = 96
-    scale, reduced, slope = torus._scale, torus._reduced_tau, torus._slope
+    gap_a, gap_b = _circular_gap(a0, a_vals), _circular_gap(b0, b_vals)
+    clearance = min(gap_a, gap_b)
+    scale, slope = torus._scale, torus._slope
     scaled = [(scale * point.z, coeff) for point, coeff in items]
     weight = sum(coeff for _, coeff in items)
     moment = sum(coeff * point.z for point, coeff in items)
 
     def integrand(z: complex) -> complex:
-        total = 0j
-        for point, coeff in scaled:
-            total += coeff * theta1_log_derivative(z - point, reduced)
-        return total
+        return torus._log_derivative_sum(z, scaled)
 
-    def period(start: complex, direction: complex) -> complex:
+    def period(start: complex, direction: complex, length_over_distance: float) -> complex:
         # sum_P n_P * beta * (integral of (z - P) dz along the segment)
         linear = slope * direction * (weight * (start + 0.5 * direction) - moment)
+        panels = _panel_count(clearance, length_over_distance)
         return _segment_integral(integrand, scale * start, scale * direction, panels, 32) + linear
 
-    a_period = period(torus.from_lattice_coords(0.0, b0), 1.0 + 0j)
-    b_period = period(torus.from_lattice_coords(a0, 0.0), tau)
+    # the a-contour (length 1) passes the poles at gap_b * Im tau, the b-contour
+    # (length |tau|) at gap_a * Im tau / |tau|
+    a_period = period(torus.from_lattice_coords(0.0, b0), 1.0 + 0j, 1.0 / (gap_b * tau.imag))
+    b_period = period(torus.from_lattice_coords(a0, 0.0), tau, abs(tau) ** 2 / (gap_a * tau.imag))
     return a_period, b_period, clearance
 
 

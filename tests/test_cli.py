@@ -307,6 +307,19 @@ def test_class_jacobi_defect_on_a_skewed_torus(capsys):
     assert abs(json.loads(out)["outputs"]["jacobi_defect"] - 0.005) < 1e-12
 
 
+def test_class_monodromy_agrees_with_abel_jacobi_on_a_skewed_torus(capsys):
+    # the b-contour has length |tau| = 2.7 and passes the poles at about 0.12 * Im tau / |tau|
+    code, out, _ = run(
+        capsys, "class", "--curve", "torus", "--tau", "2.7+0.05i",
+        "--divisor", "1@0.3+0.01i,-1@0.6+0.02i,1@0.5+0.03i,-1@0.2+0.02i",
+    )
+    assert code == EXIT_PASS
+    report = json.loads(out)["outputs"]
+    assert report["principal"] is True
+    assert report["monodromy"]["periods_in_2pi_i_Z"] is True
+    assert report["monodromy"]["period_defect"] < 1e-8
+
+
 def test_pairing_single_formula(capsys):
     code, out, _ = run(
         capsys,

@@ -386,12 +386,22 @@ def test_kernel_matrix_tests_each_pair_once(monkeypatch, curve):
 
 @pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j), Torus(2.3 + 0.2j)])
 def test_kernel_matrix_evaluates_each_defined_entry_once(monkeypatch, curve):
+    # every defined entry goes through one batched evaluator call, none twice
+    batches = []
+    evaluate = type(curve)._kernel_values
+
+    def recording(self, differences):
+        batches.append(len(differences))
+        return evaluate(self, differences)
+
+    monkeypatch.setattr(type(curve), "_kernel_values", recording)
     calls = count_calls(monkeypatch, type(curve), ("kernel",))
     left = [0.1 + 0.2j, 0.55 + 0.35j, 0.3 + 0.9j]
     kernel_matrix(curve, left, [0.8 + 0.1j, left[1]])
-    assert calls == {"kernel": 5}
+    assert batches == [5]
     kernel_matrix(curve, left, left)
-    assert calls == {"kernel": 5 + 3}
+    assert batches == [5, 3]
+    assert calls == {"kernel": 0}
 
 
 @pytest.mark.parametrize("tau", [0.3 + 1.1j, 2.3 + 0.2j, -7.1 + 0.004j, 0.45 + 0.05j, 0.2 + 30j])
@@ -473,6 +483,43 @@ def test_torus_kernel_matches_extended_precision_at_small_im_tau(low, high, boun
                     assert kernel[i, j] == green_kernel(torus, p, q)
                     reference = mpmath_kernel(mpmath, p, q, tau)
                     worst = max(worst, float(abs(kernel[i, j] - reference) / max(1, abs(reference))))
+    assert worst < bound
+
+
+def mpmath_log_derivative(mpmath, z, tau):
+    """(theta1'/theta1)(z | tau) to 50 digits: tau reduced by exact S and T steps,
+    (theta1'/theta1)(w | t) = (theta1'/theta1)(w/t | -1/t)/t - 2 pi i w/t, w centred
+    with (theta1'/theta1)(w + t) = (theta1'/theta1)(w) - 2 pi i, theta1 and theta1' from their series."""
+    mp = mpmath.mp
+    t, w, factor, offset = mpmath.mpc(tau), mpmath.mpc(z), mpmath.mpc(1), mpmath.mpc(0)
+    while True:
+        t -= mpmath.nint(t.real)
+        if abs(t) >= 1:
+            break
+        offset -= factor * 2j * mp.pi * w / t
+        factor /= t
+        w, t = w / t, -1 / t
+    n = mpmath.nint(w.imag / t.imag)
+    w -= n * t
+    w -= mpmath.nint(w.real)
+    terms = [(-1) ** k * mpmath.exp(1j * mp.pi * t * (k + 0.5) ** 2) for k in range(30)]
+    theta = mpmath.fsum(c * mpmath.sin((2 * k + 1) * mp.pi * w) for k, c in enumerate(terms))
+    slope = mpmath.fsum(c * (2 * k + 1) * mp.pi * mpmath.cos((2 * k + 1) * mp.pi * w) for k, c in enumerate(terms))
+    return factor * (slope / theta - 2j * mp.pi * n) + offset
+
+
+@pytest.mark.parametrize("low, high, bound", [(1e-3, 1e-2, 1e-12), (1e-2, 0.1, 1e-13), (0.1, 1.0, 1e-14)])
+def test_theta1_log_derivative_matches_extended_precision_at_small_im_tau(low, high, bound):
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(60):
+            tau = complex(rng.uniform(-0.5, 0.5), low * (high / low) ** rng.random())
+            z = rng.uniform(-1, 1) + rng.uniform(-1, 1) * tau
+            reference = mpmath_log_derivative(mpmath, z, tau)
+            error = abs(theta1_log_derivative(z, tau) - complex(reference))
+            worst = max(worst, error / max(1.0, float(abs(reference))))
     assert worst < bound
 
 

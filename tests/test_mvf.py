@@ -6,6 +6,7 @@ import pytest
 
 from divpair import (
     ComplexDivisor,
+    CurvePoint,
     DomainError,
     GaussianRational,
     LocalExpansion,
@@ -238,3 +239,50 @@ def test_cycle_periods_off_the_fundamental_domain_match_the_unreduced_integrand(
     shifted = ComplexDivisor(mc, integral=[(p, 2), (r, -1), (2 * p - r + 0.1, -1)])
     cert = is_principal(mc, shifted)
     assert not cert.principal and not cert.periods_integral
+
+
+def test_panel_counts_on_the_fundamental_domain_follow_the_clearance(monkeypatch):
+    # on |Re tau| <= 1/2, Im tau in [0.8, 1.6] (the selftest's and the benchmark's moduli)
+    # every contour keeps 24, 48 or 96 panels by the clearance, down to clearance 0.005
+    import divpair.mvf as mvf
+
+    panels = []
+    integrate = mvf._segment_integral
+
+    def recording(f, start, direction, count, order_):
+        panels.append(count)
+        return integrate(f, start, direction, count, order_)
+
+    monkeypatch.setattr(mvf, "_segment_integral", recording)
+    rng = random.Random(89)
+    checked = 0
+    while checked < 40:
+        t = Torus(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6)))
+        coords = [(rng.random(), rng.random()) for _ in range(4)]
+        items = [(CurvePoint(t.from_lattice_coords(a, b)), c) for (a, b), c in zip(coords, (1, -1, 2, -2))]
+        panels.clear()
+        _, _, clearance = mvf._cycle_periods(t, items)
+        if clearance < 0.005:
+            continue
+        expected = 24 if clearance >= 0.05 else 48 if clearance >= 0.02 else 96
+        assert panels == [expected, expected]
+        checked += 1
+
+
+SKEWED_TAUS = [2.7 + 0.05j, -3.4 + 0.08j, 1.5 + 0.02j, 5.0 + 0.2j, -0.3 + 0.001j, 0.45 + 0.2j]
+
+
+@pytest.mark.parametrize("tau", SKEWED_TAUS)
+def test_certificate_agrees_with_abel_jacobi_on_skewed_tori(tau):
+    # |tau|^2 / Im tau from 1.2 to 146: the b-contour is long against its distance to the
+    # poles, and too few panels put a principal divisor's periods off 2 pi i Z
+    t = Torus(tau)
+    mc = MarkedCurve(t)
+    p, r = t.from_lattice_coords(0.31, 0.22), t.from_lattice_coords(0.55, 0.13)
+    principal = ComplexDivisor(mc, integral=[(p, 2), (r, -1), (2 * p - r, -1)])
+    cert = is_principal(mc, principal)
+    assert cert.principal and cert.periods_integral and cert.period_defect < 1e-8
+    for shift in (0.1, 0.37 * tau, 0.2 - 0.45 * tau):
+        other = ComplexDivisor(mc, integral=[(p, 2), (r, -1), (2 * p - r + shift, -1)])
+        cert = is_principal(mc, other)
+        assert not cert.principal and not cert.periods_integral

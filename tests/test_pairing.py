@@ -238,6 +238,31 @@ def test_bimultiplicativity_and_symmetry():
     assert check_symmetry(mc, d1, d2) < 1e-13
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_symmetry_and_bimultiplicativity_outside_the_float_range(sign):
+    # the norms are e^(+-35702.9), inf or 0 as floats; the defects come from the exponents
+    mc = MarkedCurve(Sphere())
+    d1 = ComplexDivisor(mc, integral=[(0, 400), (1, -400)])
+    d2 = ComplexDivisor(mc, integral=[(0.5000001, -400 * sign), (5, 400 * sign)])
+    assert not 0 < pairing_norm(mc, d1, d2).norm < math.inf
+    assert math.isfinite(check_symmetry(mc, d1, d2)) and check_symmetry(mc, d1, d2) < 1e-9
+    assert math.isfinite(check_bimultiplicativity(mc, d1, d1, d2))
+    assert check_bimultiplicativity(mc, d1, d1, d2) < 1e-9
+
+
+def test_symmetry_and_bimultiplicativity_in_range_match_the_norm_ratios():
+    from divpair.selftest import _pairing_instance
+
+    rng = random.Random(71)
+    for _ in range(40):
+        mc, d1, d2 = _pairing_instance(rng)
+        forward, backward = pairing_norm(mc, d1, d2).norm, pairing_norm(mc, d2, d1).norm
+        assert abs(check_symmetry(mc, d1, d2) - abs(forward - backward) / forward) < 1e-12
+        combined = pairing_norm(mc, d1 + d1, d2).norm
+        split = pairing_norm(mc, d1, d2).norm ** 2
+        assert abs(check_bimultiplicativity(mc, d1, d1, d2) - abs(combined - split) / combined) < 1e-12
+
+
 def test_self_pairing_exponent_skips_diagonal():
     mc = sphere_mc(0.0, 3.0)
     d = ComplexDivisor(mc, marked={0: 1, 1: -1})
