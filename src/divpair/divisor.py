@@ -1,7 +1,7 @@
 """Exact arithmetic for complex divisors on a marked curve.
 
-Coefficients at marked points are Gaussian rationals (exact pairs of
-``fractions.Fraction``), coefficients elsewhere are integers, and every
+Coefficients at marked points are Gaussian rationals (reduced integer
+triples (a + b*i)/d), coefficients elsewhere are integers, and every
 divisor must have an exactly integral total degree.  Keeping the
 coefficients exact makes the degree constraint and all group laws
 decidable rather than tolerance judgments; only the point coordinates
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, isfinite
+from numbers import Rational
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,29 +40,56 @@ __all__ = [
 ]
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+def _ratio(value) -> tuple[int, int]:
+    """Exact (numerator, denominator) of an int, rational, float or decimal string."""
+    if type(value) is int:
+        return value, 1
     if isinstance(value, float):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+        return value.as_integer_ratio()
+    if isinstance(value, str):
+        value = Fraction(value)
+    elif not isinstance(value, Rational):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    return int(value.numerator), int(value.denominator)
+
+
+def _rational_str(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 class GaussianRational:
-    """An exact complex number re + im*i with rational re, im."""
+    """An exact complex number re + im*i with rational re, im.
 
-    __slots__ = ("re", "im")
+    Stored as one reduced integer triple (a, b, d): the value (a + b*i)/d
+    with d > 0 and gcd(a, b, d) = 1, so every value has one representation
+    and each operation costs a few integer products and one gcd.  ``re`` and
+    ``im`` are ``Fraction`` views of it; ``triple`` is the triple itself.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        _fill(self, p * s, r * q, q * s)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """(a, b, d) with value (a + b*i)/d, d > 0 and gcd(a, b, d) = 1."""
+        return self._a, self._b, self._d
 
     @staticmethod
     def coerce(value) -> "GaussianRational":
@@ -82,12 +111,15 @@ class GaussianRational:
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         return self + (-GaussianRational.coerce(other))
@@ -97,61 +129,93 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = GaussianRational.coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        norm = a2 * a2 + b2 * b2
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / norm, -other.im / norm)
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/(a2^2 + b2^2)
+        d2 = other._d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
+        return self._b == 0 and self._d == 1
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds once, exactly as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, float):
+            if not isfinite(other):
+                return False
+        elif not isinstance(other, Rational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        n, d = _ratio(other)
+        return self._b == 0 and self._a * d == n * self._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal Fraction, int or float does
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
+        a, b, d = self._a, self._b, self._d
+        if b == 0:
+            return _rational_str(a, d)
+        if b == d:
             imag = "i"
-        elif self.im == -1:
+        elif b == -d:
             imag = "-i"
         else:
-            imag = f"{self.im}i"
-        if self.re == 0:
+            imag = f"{_rational_str(b, d)}i"
+        if a == 0:
             return imag
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{imag}"
+        sign = "+" if b > 0 else ""
+        return f"{_rational_str(a, d)}{sign}{imag}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _fill(value: GaussianRational, a: int, b: int, d: int) -> None:
+    """Store (a + b*i)/d, d > 0, in lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    _set_a(value, a)
+    _set_b(value, b)
+    _set_d(value, d)
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for any d > 0."""
+    value = object.__new__(GaussianRational)
+    _fill(value, a, b, d)
+    return value
 
 
 GR_ZERO = GaussianRational(0)
@@ -224,10 +288,12 @@ class ComplexDivisor:
     Instances are immutable and canonical: zero coefficients are dropped,
     integral-part points lattice-equal to a mark are folded into the
     marked part, lattice-equal integral points are merged, and torus
-    points are stored as fundamental-cell representatives.
+    points are stored as fundamental-cell representatives.  The degree
+    and the marked degree are fixed at construction; the float support is
+    converted once, on first use.
     """
 
-    __slots__ = ("mc", "marked", "integral")
+    __slots__ = ("mc", "marked", "integral", "_marked_degree", "_degree", "_support")
 
     def __init__(
         self,
@@ -266,7 +332,7 @@ class ComplexDivisor:
                     continue
                 if not coeff.is_integer():
                     raise NonIntegralCoefficientError()
-                weight = int(coeff.re)
+                weight = coeff._a
                 for k, existing in enumerate(points):
                     if curve.points_equal(existing, point):
                         weights[k] += weight
@@ -275,24 +341,12 @@ class ComplexDivisor:
                     points.append(point)
                     weights.append(weight)
 
-        marked_part = tuple(
-            (index, coeff)
-            for index, coeff in sorted(coeffs.items())
-            if not coeff.is_zero()
-        )
-        integral_pairs = [
-            (point, weight) for point, weight in zip(points, weights) if weight != 0
-        ]
-        integral_pairs.sort(key=lambda item: item[0].sort_key())
-
-        total = sum((coeff for _, coeff in marked_part), GR_ZERO)
-        total = total + GaussianRational(sum(w for _, w in integral_pairs))
+        marked_part = _nonzero_sorted(coeffs)
+        marked_degree = sum((coeff for _, coeff in marked_part), GR_ZERO)
+        total = marked_degree + sum(weights)
         if not total.is_integer():
             raise DegreeIntegralityError()
-
-        object.__setattr__(self, "mc", mc)
-        object.__setattr__(self, "marked", marked_part)
-        object.__setattr__(self, "integral", tuple(integral_pairs))
+        _fill_divisor(self, mc, marked_part, _integral_part(zip(points, weights)), marked_degree, total._a)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexDivisor is immutable")
@@ -300,9 +354,7 @@ class ComplexDivisor:
     # --- queries ---------------------------------------------------------
 
     def degree(self) -> int:
-        total = sum((coeff for _, coeff in self.marked), GR_ZERO)
-        total = total + GaussianRational(sum(w for _, w in self.integral))
-        return int(total.re)
+        return self._degree
 
     def is_empty(self) -> bool:
         return not self.marked and not self.integral
@@ -316,7 +368,7 @@ class ComplexDivisor:
         return GR_ZERO
 
     def marked_degree(self) -> GaussianRational:
-        return sum((coeff for _, coeff in self.marked), GR_ZERO)
+        return self._marked_degree
 
     def exact_items(self) -> list[tuple[CurvePoint, GaussianRational]]:
         """Support with exact coefficients, marks first in mark order."""
@@ -325,16 +377,26 @@ class ComplexDivisor:
         return out
 
     def support_items(self) -> list[tuple[CurvePoint, complex]]:
-        """Support with coefficients as complex floats."""
-        return [(point, coeff.to_complex()) for point, coeff in self.exact_items()]
+        """Support with coefficients as complex floats, in ``exact_items`` order."""
+        if self._support is None:
+            # converted on first use, not at construction: intermediate sums never
+            # need floats, and a coefficient beyond the float range then fails
+            # only in the float readers
+            support = [(self.mc.marks[i], coeff.to_complex()) for i, coeff in self.marked]
+            support.extend((point, complex(w)) for point, w in self.integral)
+            object.__setattr__(self, "_support", tuple(support))
+        return list(self._support)
 
     def support_points(self) -> list[CurvePoint]:
-        return [point for point, _ in self.exact_items()]
+        return [self.mc.marks[i] for i, _ in self.marked] + [p for p, _ in self.integral]
 
     def has_integer_coefficients(self) -> bool:
         return all(coeff.is_integer() for _, coeff in self.marked)
 
     # --- arithmetic ------------------------------------------------------
+    # Operands are canonical, so these combine their parts directly: points
+    # are already reduced and off the marks, and no two points of one
+    # operand coincide.
 
     def _require_same_context(self, other: "ComplexDivisor") -> None:
         if self.mc is other.mc:
@@ -344,17 +406,35 @@ class ComplexDivisor:
 
     def __add__(self, other: "ComplexDivisor") -> "ComplexDivisor":
         self._require_same_context(other)
-        return ComplexDivisor(
+        coeffs = dict(self.marked)
+        for index, coeff in other.marked:
+            coeffs[index] = coeffs[index] + coeff if index in coeffs else coeff
+        points_equal = self.mc.curve.points_equal
+        pairs = list(self.integral)
+        own = range(len(pairs))
+        for point, weight in other.integral:
+            for k in own:
+                existing, total = pairs[k]
+                if points_equal(existing, point):
+                    pairs[k] = (existing, total + weight)
+                    break
+            else:
+                pairs.append((point, weight))
+        return _canonical(
             self.mc,
-            marked=list(self.marked) + list(other.marked),
-            integral=list(self.integral) + list(other.integral),
+            _nonzero_sorted(coeffs),
+            _integral_part(pairs),
+            self._marked_degree + other._marked_degree,
+            self._degree + other._degree,
         )
 
     def __neg__(self) -> "ComplexDivisor":
-        return ComplexDivisor(
+        return _canonical(
             self.mc,
-            marked=[(i, -c) for i, c in self.marked],
-            integral=[(p, -w) for p, w in self.integral],
+            tuple((i, -c) for i, c in self.marked),
+            tuple((p, -w) for p, w in self.integral),
+            -self._marked_degree,
+            -self._degree,
         )
 
     def __sub__(self, other: "ComplexDivisor") -> "ComplexDivisor":
@@ -364,12 +444,17 @@ class ComplexDivisor:
         alpha = GaussianRational.coerce(alpha)
         if self.integral and not alpha.is_integer():
             raise NonIntegralCoefficientError()
-        factor = int(alpha.re) if alpha.is_integer() else None
-        return ComplexDivisor(
-            self.mc,
-            marked=[(i, alpha * c) for i, c in self.marked],
-            integral=[(p, factor * w) for p, w in self.integral] if self.integral else None,
-        )
+        marked_degree = alpha * self._marked_degree
+        if self.integral:
+            factor = alpha._a
+            integral = _integral_part((p, factor * w) for p, w in self.integral)
+            total = marked_degree + factor * sum(w for _, w in self.integral)
+        else:
+            integral, total = (), marked_degree
+        if not total.is_integer():
+            raise DegreeIntegralityError()
+        marked = () if alpha.is_zero() else tuple((i, alpha * c) for i, c in self.marked)
+        return _canonical(self.mc, marked, integral, marked_degree, total._a)
 
     def __eq__(self, other):
         if not isinstance(other, ComplexDivisor):
@@ -394,6 +479,35 @@ class ComplexDivisor:
             f"({w})@{'inf' if p.at_infinity else p.z}" for p, w in self.integral
         ]
         return "ComplexDivisor(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+def _nonzero_sorted(coeffs: dict[int, GaussianRational]) -> tuple:
+    """The marked part: nonzero coefficients in mark order."""
+    return tuple((i, c) for i, c in sorted(coeffs.items()) if not c.is_zero())
+
+
+def _integral_part(pairs) -> tuple:
+    """The integral part: nonzero weights ordered by point."""
+    kept = [(point, weight) for point, weight in pairs if weight != 0]
+    kept.sort(key=lambda item: item[0].sort_key())
+    return tuple(kept)
+
+
+def _fill_divisor(d: ComplexDivisor, mc, marked, integral, marked_degree, degree) -> None:
+    set_slot = object.__setattr__
+    set_slot(d, "mc", mc)
+    set_slot(d, "marked", marked)
+    set_slot(d, "integral", integral)
+    set_slot(d, "_marked_degree", marked_degree)
+    set_slot(d, "_degree", degree)
+    set_slot(d, "_support", None)
+
+
+def _canonical(mc, marked, integral, marked_degree, degree) -> ComplexDivisor:
+    """A divisor from parts already in canonical form, with their degrees."""
+    d = object.__new__(ComplexDivisor)
+    _fill_divisor(d, mc, marked, integral, marked_degree, degree)
+    return d
 
 
 def divisor_add(a: ComplexDivisor, b: ComplexDivisor) -> ComplexDivisor:

@@ -132,11 +132,11 @@ def multiplicator(mc: MarkedCurve, d: ComplexDivisor, index: int) -> complex:
     The real part of the coefficient is reduced mod 1 exactly before
     exponentiating, so integral coefficients give exactly 1.0.
     """
-    coeff = d.marked_coefficient(index)
-    frac = coeff.re - (coeff.re.numerator // coeff.re.denominator)
-    if frac == 0 and coeff.im == 0:
+    re_num, im_num, den = d.marked_coefficient(index).triple
+    frac_num = re_num % den  # Re n - floor(Re n) = frac_num / den
+    if frac_num == 0 and im_num == 0:
         return 1.0 + 0j
-    return cmath.exp(complex(-2.0 * math.pi * float(coeff.im), 2.0 * math.pi * float(frac)))
+    return cmath.exp(complex(-2.0 * math.pi * (im_num / den), 2.0 * math.pi * (frac_num / den)))
 
 
 @dataclass(frozen=True)
@@ -164,10 +164,8 @@ def glueing_data(mc: MarkedCurve, d: ComplexDivisor) -> GlueingData:
     product = 1.0 + 0j
     for value in values:
         product *= value
-    marked_degree = d.marked_degree()
-    expected = cmath.exp(
-        complex(-2.0 * math.pi * float(marked_degree.im), 2.0 * math.pi * float(marked_degree.re))
-    )
+    re_num, im_num, den = d.marked_degree().triple
+    expected = cmath.exp(complex(-2.0 * math.pi * (im_num / den), 2.0 * math.pi * (re_num / den)))
     return GlueingData(
         multiplicators=values,
         inner_chart="neighborhood of the marked disk",

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from divpair import (
@@ -153,3 +155,162 @@ def test_degree_homomorphism_exact():
     d1 = ComplexDivisor(mc, marked={0: HALF + I, 1: HALF - I})
     d2 = ComplexDivisor(mc, marked={1: I, 2: GaussianRational(3) - I})
     assert degree(d1 + d2) == degree(d1) + degree(d2) == 4
+
+
+def test_gaussian_rational_hash_agrees_with_equal_numbers():
+    assert GaussianRational(1) == 1 and GaussianRational(Fraction(1, 2)) == 0.5
+    assert {1, GaussianRational(1)} == {1}
+    assert len({0.5, Fraction(1, 2), GaussianRational(Fraction(1, 2))}) == 1
+    assert hash(GaussianRational(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+    assert {GaussianRational(2, 1): "x"}[GaussianRational(Fraction(4, 2), Fraction(3, 3))] == "x"
+    assert GaussianRational(1) != float("inf") and GaussianRational(0) != float("nan")
+
+
+def test_gaussian_rational_accepts_numpy_integers():
+    assert GaussianRational(np.int64(2)) == 2
+    assert GaussianRational(np.int32(1), np.int64(-3)) == GaussianRational(1, -3)
+    big = GaussianRational(np.int64(2**62))
+    assert all(type(part) is int for part in big.triple)
+    assert big * big == GaussianRational(2**124)  # no int64 wrap-around
+    mc = MarkedCurve(Sphere(), [0.0])
+    d = ComplexDivisor(mc, integral=[(2.0, np.int64(1)), (3.0, np.int64(-1))])
+    assert d.degree() == 0 and [type(w) for _, w in d.integral] == [int, int]
+    for bad in (1j, np.complex128(1), None, object(), [1]):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            GaussianRational(0, bad)
+
+
+def _reference_str(re: Fraction, im: Fraction) -> str:
+    """The literal of re + im*i, written from the exact parts."""
+    if im == 0:
+        return str(re)
+    imag = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if re == 0:
+        return imag
+    return f"{re}{'+' if im > 0 else ''}{imag}"
+
+
+def _random_fraction(rng: random.Random) -> Fraction:
+    if rng.random() < 0.5:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    bound = 10 ** rng.randint(1, 12)
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def test_gaussian_rational_matches_fraction_pair_reference():
+    from divpair import parse_gaussian_rational
+
+    rng = random.Random(20260)
+    for _ in range(2000):
+        x = (_random_fraction(rng), _random_fraction(rng))
+        y = (_random_fraction(rng), _random_fraction(rng))
+        if rng.random() < 0.2:
+            x = (x[0], Fraction(0))
+        gx, gy = GaussianRational(*x), GaussianRational(*y)
+        a, b, d = gx.triple
+        assert d > 0 and math.gcd(a, b, d) == 1
+        assert (gx.re, gx.im) == x and Fraction(a, d) == x[0] and Fraction(b, d) == x[1]
+        norm = y[0] * y[0] + y[1] * y[1]
+        expected = {
+            "+": (x[0] + y[0], x[1] + y[1]),
+            "-": (x[0] - y[0], x[1] - y[1]),
+            "*": (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+            "neg": (-x[0], -x[1]),
+            "conj": (x[0], -x[1]),
+        }
+        got = {"+": gx + gy, "-": gx - gy, "*": gx * gy, "neg": -gx, "conj": gx.conjugate()}
+        if norm:
+            expected["/"] = (
+                (x[0] * y[0] + x[1] * y[1]) / norm,
+                (x[1] * y[0] - x[0] * y[1]) / norm,
+            )
+            got["/"] = gx / gy
+        for op, (re, im) in expected.items():
+            value = got[op]
+            assert (value.re, value.im) == (re, im), op
+            assert value == GaussianRational(re, im) and hash(value) == hash(GaussianRational(re, im))
+            assert value.triple[2] > 0 and math.gcd(*value.triple) == 1
+        assert (gx + gy) - gy == gx and hash((gx + gy) - gy) == hash(gx)
+        assert (gx == gy) == (x == y)
+        assert gx.is_zero() == (x == (0, 0))
+        assert gx.is_real() == (x[1] == 0)
+        assert gx.is_integer() == (x[1] == 0 and x[0].denominator == 1)
+        if x[1] == 0:
+            assert gx == x[0] and hash(gx) == hash(x[0])
+        assert str(gx) == _reference_str(*x)
+        assert parse_gaussian_rational(str(gx)) == gx
+        z = gx.to_complex()
+        assert (z.real.hex(), z.imag.hex()) == (float(x[0]).hex(), float(x[1]).hex())
+
+
+def _constructed_sum(a: ComplexDivisor, b: ComplexDivisor) -> ComplexDivisor:
+    """a + b through the public constructor, which re-canonicalizes every term."""
+    return ComplexDivisor(
+        a.mc, marked=list(a.marked) + list(b.marked), integral=list(a.integral) + list(b.integral)
+    )
+
+
+def _assert_same_divisor(d: ComplexDivisor, expected: ComplexDivisor) -> None:
+    assert d.marked == expected.marked
+    assert d.integral == expected.integral  # same points, bit for bit, in the same order
+    assert d.degree() == expected.degree()
+    assert d.marked_degree() == expected.marked_degree()
+    assert d.support_items() == expected.support_items()
+
+
+@pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j)], ids=["sphere", "torus"])
+def test_divisor_operators_equal_constructor_built_result(curve):
+    rng = random.Random(11)
+    marks = [0.1 + 0.2j, 0.55 + 0.3j, 0.3 + 0.7j]
+    mc = MarkedCurve(curve, marks)
+    lattice = 1 + curve.tau if isinstance(curve, Torus) else 0
+
+    def random_divisor():
+        coeffs = [GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                   Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+                  for _ in range(2)]
+        coeffs.append(-(coeffs[0] + coeffs[1]) + rng.randint(-2, 2))
+        points = [complex(rng.choice((0.2, 0.4, 0.6, 0.8)), rng.choice((0.15, 0.5, 0.85)))
+                  for _ in range(3)]
+        integral = [(p + rng.randint(0, 1) * lattice, rng.randint(-2, 2)) for p in points]
+        if rng.random() < 0.3:
+            # an integral term on a mark folds into the marked part
+            integral.append((marks[rng.randrange(3)] + lattice, rng.randint(-2, 2)))
+        return ComplexDivisor(mc, marked=list(enumerate(coeffs)), integral=integral)
+
+    for _ in range(200):
+        a, b = random_divisor(), random_divisor()
+        _assert_same_divisor(a + b, _constructed_sum(a, b))
+        _assert_same_divisor(a - b, _constructed_sum(a, -b))
+        _assert_same_divisor(-a, ComplexDivisor(
+            mc, marked=[(i, -c) for i, c in a.marked], integral=[(p, -w) for p, w in a.integral]))
+        assert (a + (-a)).is_empty() and (a - a).degree() == 0
+        k = rng.randint(-3, 3)
+        _assert_same_divisor(a.scale(k), ComplexDivisor(
+            mc, marked=[(i, k * c) for i, c in a.marked], integral=[(p, k * w) for p, w in a.integral]))
+        marked_only = ComplexDivisor(mc, marked=a.marked)
+        alpha = GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1))
+        try:
+            expected = ComplexDivisor(mc, marked=[(i, alpha * c) for i, c in a.marked])
+        except DegreeIntegralityError:
+            with pytest.raises(DegreeIntegralityError):
+                marked_only.scale(alpha)
+        else:
+            _assert_same_divisor(marked_only.scale(alpha), expected)
+
+
+def test_divisor_sum_merges_lattice_translates_and_drops_zeros():
+    t = Torus(0.3 + 1.1j)
+    mc = MarkedCurve(t, [0.5 + 0.5j, 0.1 + 0.8j])
+    p = 0.25 + 0.4j
+    a = ComplexDivisor(mc, marked={0: HALF + I, 1: HALF - I}, integral=[(p, 2), (0.7 + 0.1j, -1)])
+    b = ComplexDivisor(mc, marked={0: -HALF - I, 1: -HALF + I},
+                       integral=[(p + 1 + t.tau, -2), (0.7 + 0.1j, 1)])
+    assert (a + b).is_empty() and _constructed_sum(a, b).is_empty()
+    c = ComplexDivisor(mc, integral=[(p - t.tau, 1), (0.5 + 0.5j + 2, -1)])  # second term on a mark
+    assert c.marked == ((0, GaussianRational(-1)),)
+    _assert_same_divisor(a + c, _constructed_sum(a, c))
+    assert dict((a + c).integral)[a.integral[0][0]] == 3
+    assert (a + c).marked_coefficient(0) == GaussianRational(Fraction(-1, 2), 1)
