@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 SPHERE_POINT_TOL = 1e-12
 TORUS_POINT_TOL = 1e-9
 
-# theta products and series stop at the first n with |Q|^n * bound < 1e-17
+# theta1's Fourier series keeps the terms k with |q|^(k^2) >= 1e-17
 _LOG_THETA_CUTOFF = math.log(1e-17)
 
 __all__ = [
@@ -165,8 +165,11 @@ class Torus(CurveModel):
 
     tau is reduced once, at construction (``_reduce_modulus``): every kernel
     entry, theta1 value and lattice distance starts from w' = s*w on the torus
-    of the reduced modulus tau', which describes the same lattice scaled by s,
-    with theta1 tables of tau' built once: Q^1..Q^N, Q^0..Q^(N-1) and prod (1 - Q^n).
+    of the reduced modulus tau', which describes the same lattice scaled by s.
+    theta1 of tau' is its Fourier series, whose coefficients
+    a_k = (-1)^k q^(k^2), q = exp(i pi tau'), are tabulated once for k < K:
+    K is the least integer with |q|^(K^2) < 1e-17, at most 4 since
+    Im tau' >= sqrt(3)/2 (``_fourier``).
     """
 
     tau: complex = 1j
@@ -177,23 +180,21 @@ class Torus(CurveModel):
         tau = _require_upper_half(self.tau)
         object.__setattr__(self, "tau", tau)
         reduced, scale, log_constant, quadratic = _reduce_modulus(tau)
-        # N from |Q|^N (1 + |x| + 1/|x|) < 1e-17 at the worst centred point,
-        # Im z' = Im tau'/2, where |x| = e^(-h): at most nine terms, since Im tau' >= 0.86
-        h, edge = math.pi * reduced.imag, math.exp(-math.pi * reduced.imag)
-        terms = int((h + math.log(1.0 + edge + edge * edge) - _LOG_THETA_CUTOFF) / (2.0 * h)) + 1
-        nome, powers, euler = cmath.exp(2j * math.pi * reduced), [1 + 0j], 1 + 0j
-        for _ in range(terms):
-            powers.append(powers[-1] * nome)
-            euler *= 1.0 - powers[-1]
+        h = math.pi * reduced.imag
+        terms = int(math.sqrt(-_LOG_THETA_CUTOFF / h)) + 1
+        nome = cmath.exp(1j * math.pi * reduced)
+        coefficients = [(-1) ** k * nome ** (k * k) for k in range(terms)]
         # plain data, not dataclass fields: equality and hashing stay by tau
         object.__setattr__(self, "_reduced_tau", reduced)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_log_constant", log_constant)
         object.__setattr__(self, "_slope", 2.0 * quadratic)
-        object.__setattr__(self, "_nome_pairs", tuple(zip(powers[1:], powers[:-1])))
-        object.__setattr__(self, "_euler", euler)
-        # per-entry kernel constant: C + log|prod (1 - Q^n)| - pi Im(tau')/4
-        object.__setattr__(self, "_kernel_constant", log_constant.real + math.log(abs(euler)) - 0.25 * h)
+        object.__setattr__(self, "_nome", nome)
+        # (a_k, (2k + 1) a_k) for k = K-1 down to 1, in Horner order; a_0 = 1 is written out
+        object.__setattr__(self, "_fourier", tuple(
+            (coefficients[k], (2 * k + 1) * coefficients[k]) for k in range(terms - 1, 0, -1)))
+        # per-entry kernel constant: C - pi Im(tau')/4
+        object.__setattr__(self, "_kernel_constant", log_constant.real - 0.25 * h)
 
     def lattice_coords(self, z: complex) -> tuple[float, float]:
         """Real coordinates (a, b) with z = a + b*tau."""
@@ -258,13 +259,16 @@ class Torus(CurveModel):
         """g_tau(w) = g_tau'(s*w) + C, C = -1/2 sum log|tau_k|, for each difference w = P - Q.
 
         The kernel of the reduced modulus is even and doubly periodic, so it is
-        taken at the centred point z' of s*w with Im z' >= 0:
-            g_tau'(z') = log|(1 - x) prod_n (1 - Q^n x)(1 - Q^(n-1) y)| + pi Im z' (1 - Im z'/Im tau') + K,
-        x = exp(2 pi i z'), y = exp(2 pi i (tau' - z')), with every z-free term in the
-        per-torus constant K; no term grows with the lattice translation or cancels another.
+        taken at the centred point z' of s*w, 0 <= Im z' <= Im tau'/2, from the Fourier series
+            theta1(z' | tau') = -i q^(1/4) exp(-i pi z') sum_k a_k p^k (x^(2k+1) - 1),
+            g_tau'(z') = log|sum_k a_k p^k (x^(2k+1) - 1)| + pi Im z' (1 - Im z'/Im tau') - pi Im tau'/4,
+        x = exp(2 pi i z') and p = exp(i pi (tau' - 2 z')), both of modulus <= 1, so no term
+        over- or underflows at any Im tau.  The sum is (x - 1) + x A(q x) - A(p), with
+        A(t) = sum_(k>=1) a_k t^k in Horner form, since p^k x^(2k+1) = x (q x)^k.
         """
-        tau, scale, pairs, constant = self._reduced_tau, self._scale, self._nome_pairs, self._kernel_constant
-        height, exp, log, pi, two_pi_i = tau.imag, cmath.exp, math.log, math.pi, 2j * math.pi
+        tau, scale, nome, fourier, constant = (
+            self._reduced_tau, self._scale, self._nome, self._fourier, self._kernel_constant)
+        height, exp, log, pi, two_pi_i, pi_i_tau = tau.imag, cmath.exp, math.log, math.pi, 2j * math.pi, 1j * math.pi * tau
         values = []
         for w in differences:
             z = scale * w
@@ -272,23 +276,27 @@ class Torus(CurveModel):
             z -= round(z.real)
             if z.imag < 0:
                 z = -z
-            x, y = exp(two_pi_i * z), exp(two_pi_i * (tau - z))
-            product = 1.0 - x
-            for qn, qs in pairs:
-                product *= (1.0 - qn * x) * (1.0 - qs * y)
+            phase = two_pi_i * z
+            x, p = exp(phase), exp(pi_i_tau - phase)
+            u, high, low = nome * x, 0j, 0j
+            for a, _ in fourier:
+                high = (high + a) * u
+                low = (low + a) * p
             im = z.imag
-            values.append(log(abs(product)) + pi * im * (1.0 - im / height) + constant)
+            values.append(log(abs((x - 1.0) + (x * high - low))) + pi * im * (1.0 - im / height) + constant)
         return values
 
     def _log_derivative_sum(self, z: complex, items) -> complex:
         """sum_P n_P (theta1'/theta1)(z - P | tau') over (P, n_P) items, z and P in reduced coordinates.
 
         Each z - P is centred as in ``_kernel_values``, with (theta1'/theta1)(w + tau') =
-        (theta1'/theta1)(w) - 2 pi i and oddness; then
-            (theta1'/theta1)(z') = -i pi (1 + x)/(1 - x) + 2 pi i sum_n [Q^(n-1) y/(1 - Q^(n-1) y) - Q^n x/(1 - Q^n x)].
+        (theta1'/theta1)(w) - 2 pi i and oddness; differentiating the Fourier series there,
+            (theta1'/theta1)(z') = -i pi + 2 pi i sum_k a_k p^k ((k + 1) x^(2k+1) + k) / sum_k a_k p^k (x^(2k+1) - 1)
+                                 = i pi sum_k (2k + 1) a_k p^k (x^(2k+1) + 1) / sum_k a_k p^k (x^(2k+1) - 1),
+        one division per support point, both sums in the Horner form of ``_kernel_values``.
         """
-        tau, pairs = self._reduced_tau, self._nome_pairs
-        height, exp, pi_i, two_pi_i = tau.imag, cmath.exp, 1j * math.pi, 2j * math.pi
+        tau, nome, fourier = self._reduced_tau, self._nome, self._fourier
+        height, exp, two_pi_i, pi_i_tau = tau.imag, cmath.exp, 2j * math.pi, 1j * math.pi * tau
         total = 0j
         for point, coeff in items:
             w = z - point
@@ -298,21 +306,24 @@ class Torus(CurveModel):
             odd = w.imag < 0
             if odd:
                 w = -w
-            x, y = exp(two_pi_i * w), exp(two_pi_i * (tau - w))
-            series = 0j
-            for qn, qs in pairs:
-                u, v = qs * y, qn * x
-                series += (u - v) / ((1.0 - u) * (1.0 - v))  # u/(1 - u) - v/(1 - v)
-            value = pi_i * (2.0 * series - (1.0 + x) / (1.0 - x))
-            total += coeff * ((-value if odd else value) - two_pi_i * n)
-        return total
+            phase = two_pi_i * w
+            x, p = exp(phase), exp(pi_i_tau - phase)
+            u, high, low, high_odd, low_odd = nome * x, 0j, 0j, 0j, 0j
+            for a, b in fourier:
+                high = (high + a) * u
+                low = (low + a) * p
+                high_odd = (high_odd + b) * u
+                low_odd = (low_odd + b) * p
+            ratio = ((x + 1.0) + (x * high_odd + low_odd)) / ((x - 1.0) + (x * high - low))
+            total += coeff * ((-ratio if odd else ratio) - 2 * n)
+        return 1j * math.pi * total
 
     def _theta1(self, w: complex) -> complex:
         """theta1(w | tau) = exp(c + a w^2) theta1(s w | tau') (``_reduce_modulus``).
 
         With s w = (-1)^odd z' + m + n tau' centred as in ``_kernel_values``,
             theta1(s w) = (-1)^(m + n + odd) exp(-i pi n (n tau' + 2 (-1)^odd z')) theta1(z'),
-            theta1(z') = i exp(i pi tau'/4 - i pi z') (1 - x) prod_n (1 - Q^n)(1 - Q^n x)(1 - Q^(n-1) y),
+            theta1(z') = -i exp(i pi tau'/4 - i pi z') sum_k a_k p^k (x^(2k+1) - 1),
         by theta1(z + 1) = -theta1(z), theta1(z + tau) = -exp(-i pi tau - 2 pi i z) theta1(z) and oddness.
         """
         tau, pi_i, z = self._reduced_tau, 1j * math.pi, self._scale * w
@@ -323,14 +334,15 @@ class Torus(CurveModel):
         odd = z.imag < 0
         if odd:
             z = -z
-        x, y = cmath.exp(2.0 * pi_i * z), cmath.exp(2.0 * pi_i * (tau - z))
-        product = (1.0 - x) * self._euler
-        for qn, qs in self._nome_pairs:
-            product *= (1.0 - qn * x) * (1.0 - qs * y)
-        log_scale = self._log_constant + 0.5 * self._slope * w * w + pi_i * (m + n + odd + 0.5 + 0.25 * tau - z)
+        x, p = cmath.exp(2.0 * pi_i * z), cmath.exp(pi_i * (tau - 2.0 * z))
+        u, high, low = self._nome * x, 0j, 0j
+        for a, _ in self._fourier:
+            high = (high + a) * u
+            low = (low + a) * p
+        log_scale = self._log_constant + 0.5 * self._slope * w * w + pi_i * (m + n + odd - 0.5 + 0.25 * tau - z)
         if n:
             log_scale -= pi_i * n * (n * tau + 2.0 * (-z if odd else z))
-        return cmath.exp(log_scale) * product
+        return cmath.exp(log_scale) * ((x - 1.0) + (x * high - low))
 
 
 def _require_upper_half(tau: complex) -> complex:
@@ -378,8 +390,8 @@ def theta1(z: complex, tau: complex) -> complex:
     """First Jacobi theta function theta1(z | tau), for any tau with Im tau > 0.
 
     theta1(z) = 2 sum_{k>=0} (-1)^k exp(i*pi*tau*(k + 1/2)^2) sin((2k + 1) pi z), evaluated
-    as a triple product of at most nine factors after SL2(Z) reduction, with the
-    tables of ``Torus(tau)`` (``Torus._theta1``).
+    after SL2(Z) reduction as this Fourier series on the reduced modulus, at most four
+    terms, with the tables of ``Torus(tau)`` (``Torus._theta1``).
     """
     return Torus(tau)._theta1(complex(z))
 
@@ -433,9 +445,11 @@ def kernel_matrix(curve: CurveModel, left, right) -> tuple[np.ndarray, np.ndarra
         distance += distance.T
     defined = (distance >= curve.point_tol) & (distance < math.inf)
     kernel = np.zeros(distance.shape)
-    rows, cols = np.nonzero(np.triu(defined, 1) if symmetric else defined)
-    lz, rz = [p.z for p in left], [q.z for q in right]
-    kernel[rows, cols] = curve._kernel_values([lz[i] - rz[j] for i, j in zip(rows.tolist(), cols.tolist())])
+    evaluated = np.triu(defined, 1) if symmetric else defined
+    lz = np.array([p.z for p in left], dtype=complex)
+    rz = lz if symmetric else np.array([q.z for q in right], dtype=complex)
+    # numpy's complex subtraction rounds each part as Python's complex ``-`` does
+    kernel[evaluated] = curve._kernel_values((lz[:, None] - rz[None, :])[evaluated].tolist())
     if symmetric:
         kernel += kernel.T
     return kernel, distance, defined

@@ -18,7 +18,6 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .divisor import (
     ComplexDivisor,
     GaussianRational,
     MarkedCurve,
+    _reduced,
     class_invariant,
 )
 from .mvf import (
@@ -161,9 +161,9 @@ def _random_points(rng: random.Random, curve, count: int, **kw):
 def _random_gaussian_rational(rng: random.Random, max_num: int = 1, max_den: int = 3):
     # kept small: pairing exponents grow with |n|^2 and must stay far from
     # the exp overflow range for the absolute-residual checks to be sharp
-    def part():
-        return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-    return GaussianRational(part(), part())
+    a, d = rng.randint(-max_num, max_num), rng.randint(1, max_den)
+    b, e = rng.randint(-max_num, max_num), rng.randint(1, max_den)
+    return _reduced(a * e, b * d, d * e)  # a/d + (b/e) i
 
 
 def _zero_sum_coefficients(rng: random.Random, count: int):

@@ -115,16 +115,16 @@ def test_class_command(capsys):
 
 
 def test_class_report_literals_parse_back(capsys):
-    # b_period is -4.5e-18-3.14...i here: an exponent-notation literal
+    # Im 1e-7 puts an exponent-notation literal in jacobian_mod_lattice by construction
     code, out, _ = run(
         capsys,
-        "class", "--curve", "torus", "--tau", "i", "--divisor", "1@0.25,-1@0.75",
+        "class", "--curve", "torus", "--tau", "i", "--divisor", "1@0.25+1.0e-7i,-1@0.75",
     )
     assert code == EXIT_PASS
     outputs = json.loads(out)["outputs"]
     literals = [outputs["jacobian_mod_lattice"], outputs["monodromy"]["a_period"],
                 outputs["monodromy"]["b_period"]]
-    assert any("e-" in text for text in literals)
+    assert "e-" in outputs["jacobian_mod_lattice"]
     for text in literals:
         assert format_complex(parse_complex(text)) == text
 
@@ -267,6 +267,20 @@ def test_invalid_tolerance_scale_goes_to_stderr_only():
     assert invalid.stdout == clean.stdout
     assert b"DIVPAIR_TOL='abc'" in invalid.stderr
     assert b"DIVPAIR_TOL" not in clean.stderr
+
+
+@pytest.mark.parametrize("request_argv", [
+    ["pairing", "--curve", "torus", "--tau", "2.3+0.4i", "--d1", "1@0.1+0.2i,-1@0.4+0.3i",
+     "--d2", "1@0.6+0.5i,-1@0.8+0.1i", "--formula", "all"],
+    ["class", "--curve", "torus", "--tau", "2.3+0.4i", "--divisor", "1@0.1+0.2i,-1@0.4+0.3i"],
+    ["selftest", "--cases", "10"],
+])
+def test_identical_invocations_print_identical_stdout(request_argv):
+    # timings go to stderr only, so stdout is a function of the arguments
+    argv = [sys.executable, "-m", "divpair.cli", *request_argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(divpair.__file__).parents[1]))
+    first, second = (subprocess.run(argv, env=env, capture_output=True, check=True) for _ in range(2))
+    assert first.stdout and first.stdout == second.stdout
 
 
 def test_torus_requires_tau(capsys):

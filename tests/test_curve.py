@@ -89,6 +89,63 @@ def test_theta1_matches_direct_series_off_the_fundamental_domain():
         assert abs(theta1(z, tau) - ref) <= 1e-12 * abs(ref)
 
 
+def triple_product(z, tau, factors=200):
+    """Independent oracle: Jacobi's triple product at tau itself, no reduction, for moderate Im tau.
+
+    With q = exp(i pi tau) and D_n = 1 - 2 q^(2n) cos(2 pi z) + q^(4n), returns
+    (theta1, theta1'/theta1, log|theta1| - pi Im(z)^2/Im tau) from
+        theta1(z) = 2 q^(1/4) sin(pi z) prod_n (1 - q^(2n)) D_n,
+        theta1'/theta1(z) = pi cot(pi z) + 4 pi sin(2 pi z) sum_n q^(2n)/D_n.
+    """
+    q = cmath.exp(1j * math.pi * tau)
+    cos, sin = cmath.cos(2 * math.pi * z), cmath.sin(2 * math.pi * z)
+    value = 2 * cmath.exp(0.25j * math.pi * tau) * cmath.sin(math.pi * z)
+    derivative = math.pi / cmath.tan(math.pi * z)
+    for n in range(1, factors + 1):
+        qn = q ** (2 * n)
+        factor = 1 - 2 * qn * cos + qn * qn
+        value *= (1 - qn) * factor
+        derivative += 4 * math.pi * sin * qn / factor
+    kernel = math.log(abs(value)) - math.pi * z.imag ** 2 / tau.imag
+    return value, derivative, kernel
+
+
+def oracle_cases(rng, reduced):
+    """(z, tau) pairs: tau in the fundamental domain, or anywhere with Im tau in [0.3, 0.9];
+    z = a + b tau with a, b in [-1, 1], (a, b) at least 0.05 from every lattice point."""
+    cases = []
+    while len(cases) < 60:
+        if reduced:
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+            if abs(tau) < 1:
+                continue
+        else:
+            tau = random_tau(rng, low=0.3, high=0.9)
+        a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        if max(abs(a - round(a)), abs(b - round(b))) < 0.05:
+            continue
+        cases.append((a + b * tau, tau))
+    return cases
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_theta_evaluators_match_the_triple_product(reduced):
+    rng = random.Random(29 if reduced else 31)
+    for z, tau in oracle_cases(rng, reduced):
+        value, derivative, kernel = triple_product(z, tau)
+        assert abs(theta1(z, tau) - value) <= 1e-13 * abs(value)
+        assert abs(theta1_log_derivative(z, tau) - derivative) <= 1e-13 * max(1.0, abs(derivative))
+        assert abs(green_kernel(Torus(tau), z, 0) - kernel) <= 1e-13 * max(1.0, abs(kernel))
+
+
+def test_fourier_term_count_is_solved_from_the_reduced_modulus():
+    # K is the least integer with |q'|^(K^2) < 1e-17: 4 at the lowest point of the
+    # fundamental domain, 1 once exp(-pi Im tau') < 1e-17
+    assert len(Torus(complex(0.5, math.sqrt(3) / 2))._fourier) + 1 == 4
+    assert len(Torus(1j)._fourier) + 1 == 4
+    assert len(Torus(1000j)._fourier) + 1 == 1
+
+
 def test_theta1_log_derivative_matches_central_difference_off_the_fundamental_domain():
     rng = random.Random(23)
     h = 1e-5
