@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurvePoint:
     """A point on a curve: an affine coordinate, or the sphere's infinity.
 
@@ -113,8 +113,8 @@ class CurveModel:
         """The bare kernel formula; callers exclude coincident and infinite pairs."""
         raise NotImplementedError
 
-    def _kernel_values(self, differences) -> list[float]:
-        """The bare kernel at each complex difference P - Q, as a list."""
+    def _kernel_values(self, differences: np.ndarray) -> list[float]:
+        """The bare kernel at each entry of a complex array of differences P - Q, as a list."""
         raise NotImplementedError
 
     def _distance_matrix(self, left, right) -> np.ndarray:
@@ -153,10 +153,10 @@ class Sphere(CurveModel):
         return distance
 
     def kernel(self, p, q) -> float:
-        return self._kernel_values([as_point(p).z - as_point(q).z])[0]
+        return self._kernel_values(np.array([as_point(p).z - as_point(q).z]))[0]
 
-    def _kernel_values(self, differences) -> list[float]:
-        return [math.log(abs(w)) for w in differences]
+    def _kernel_values(self, differences: np.ndarray) -> list[float]:
+        return [math.log(abs(w)) for w in differences.tolist()]
 
 
 @dataclass(frozen=True)
@@ -253,29 +253,52 @@ class Torus(CurveModel):
         return nearest / abs(s)
 
     def kernel(self, p, q) -> float:
-        return self._kernel_values([as_point(p).z - as_point(q).z])[0]
+        return self._kernel_values(np.array([as_point(p).z - as_point(q).z]))[0]
 
-    def _kernel_values(self, differences) -> list[float]:
+    def _centred(self, w: np.ndarray, scaled: bool = True):
+        """Centre every difference of the complex array w on the reduced lattice, in one array pass.
+
+        Returns arrays (z', n, m, odd) with s*w = (-1)^odd z' + m + n tau' (w itself in place
+        of s*w when ``scaled`` is false, for w already in reduced coordinates), n and m
+        integer-valued floats and 0 <= Im z' <= Im tau'/2: n = round(Im(s*w)/Im tau'),
+        m = round(Re(s*w - n tau')), and odd where s*w - n tau' - m lies below the real axis.
+        Real and imaginary parts are separate float arrays and every product is written out
+        as Python's complex ``*`` computes it, so each entry equals the scalar centring bit
+        for bit (``+ 0.0`` keeps a rounded -0.0 from flipping the sign of a zero).
+        """
+        tau = self._reduced_tau
+        wr, wi = w.real, w.imag
+        if scaled:
+            s = self._scale
+            wr, wi = s.real * wr - s.imag * wi, s.real * wi + s.imag * wr
+        n = np.rint(wi / tau.imag) + 0.0
+        zr = wr - n * tau.real
+        m = np.rint(zr) + 0.0
+        zr = zr - m
+        zi = wi - n * tau.imag
+        odd = zi < 0
+        z = np.empty(zr.shape, dtype=complex)
+        z.real = np.where(odd, -zr, zr)
+        z.imag = np.where(odd, -zi, zi)
+        return z, n, m, odd
+
+    def _kernel_values(self, differences: np.ndarray) -> list[float]:
         """g_tau(w) = g_tau'(s*w) + C, C = -1/2 sum log|tau_k|, for each difference w = P - Q.
 
         The kernel of the reduced modulus is even and doubly periodic, so it is
-        taken at the centred point z' of s*w, 0 <= Im z' <= Im tau'/2, from the Fourier series
+        taken at the centred point z' of s*w (``_centred``, one array pass over all
+        differences), 0 <= Im z' <= Im tau'/2, from the Fourier series
             theta1(z' | tau') = -i q^(1/4) exp(-i pi z') sum_k a_k p^k (x^(2k+1) - 1),
             g_tau'(z') = log|sum_k a_k p^k (x^(2k+1) - 1)| + pi Im z' (1 - Im z'/Im tau') - pi Im tau'/4,
         x = exp(2 pi i z') and p = exp(i pi (tau' - 2 z')), both of modulus <= 1, so no term
         over- or underflows at any Im tau.  The sum is (x - 1) + x A(q x) - A(p), with
-        A(t) = sum_(k>=1) a_k t^k in Horner form, since p^k x^(2k+1) = x (q x)^k.
+        A(t) = sum_(k>=1) a_k t^k in Horner form, since p^k x^(2k+1) = x (q x)^k; it stays
+        a scalar loop per entry.
         """
-        tau, scale, nome, fourier, constant = (
-            self._reduced_tau, self._scale, self._nome, self._fourier, self._kernel_constant)
+        tau, nome, fourier, constant = self._reduced_tau, self._nome, self._fourier, self._kernel_constant
         height, exp, log, pi, two_pi_i, pi_i_tau = tau.imag, cmath.exp, math.log, math.pi, 2j * math.pi, 1j * math.pi * tau
         values = []
-        for w in differences:
-            z = scale * w
-            z -= round(z.imag / height) * tau
-            z -= round(z.real)
-            if z.imag < 0:
-                z = -z
+        for z in self._centred(differences)[0].tolist():
             phase = two_pi_i * z
             x, p = exp(phase), exp(pi_i_tau - phase)
             u, high, low = nome * x, 0j, 0j
@@ -286,54 +309,50 @@ class Torus(CurveModel):
             values.append(log(abs((x - 1.0) + (x * high - low))) + pi * im * (1.0 - im / height) + constant)
         return values
 
-    def _log_derivative_sum(self, z: complex, items) -> complex:
-        """sum_P n_P (theta1'/theta1)(z - P | tau') over (P, n_P) items, z and P in reduced coordinates.
+    def _log_derivative_sum(self, nodes: np.ndarray, items) -> np.ndarray:
+        """sum_P n_P (theta1'/theta1)(z - P | tau') at each node z, over (P, n_P) items, all in reduced coordinates.
 
-        Each z - P is centred as in ``_kernel_values``, with (theta1'/theta1)(w + tau') =
-        (theta1'/theta1)(w) - 2 pi i and oddness; differentiating the Fourier series there,
+        Every difference z - P of the nodes x support grid is centred in one ``_centred`` pass,
+        with (theta1'/theta1)(w + tau') = (theta1'/theta1)(w) - 2 pi i and oddness; differentiating
+        the Fourier series there,
             (theta1'/theta1)(z') = -i pi + 2 pi i sum_k a_k p^k ((k + 1) x^(2k+1) + k) / sum_k a_k p^k (x^(2k+1) - 1)
                                  = i pi sum_k (2k + 1) a_k p^k (x^(2k+1) + 1) / sum_k a_k p^k (x^(2k+1) - 1),
-        one division per support point, both sums in the Horner form of ``_kernel_values``.
+        one division per support point, both sums in the Horner form of ``_kernel_values``,
+        summed over the support in item order for each node.  Returns one sum per node.
         """
-        tau, nome, fourier = self._reduced_tau, self._nome, self._fourier
-        height, exp, two_pi_i, pi_i_tau = tau.imag, cmath.exp, 2j * math.pi, 1j * math.pi * tau
-        total = 0j
-        for point, coeff in items:
-            w = z - point
-            n = round(w.imag / height)
-            w -= n * tau
-            w -= round(w.real)
-            odd = w.imag < 0
-            if odd:
-                w = -w
-            phase = two_pi_i * w
-            x, p = exp(phase), exp(pi_i_tau - phase)
-            u, high, low, high_odd, low_odd = nome * x, 0j, 0j, 0j, 0j
-            for a, b in fourier:
-                high = (high + a) * u
-                low = (low + a) * p
-                high_odd = (high_odd + b) * u
-                low_odd = (low_odd + b) * p
-            ratio = ((x + 1.0) + (x * high_odd + low_odd)) / ((x - 1.0) + (x * high - low))
-            total += coeff * ((-ratio if odd else ratio) - 2 * n)
-        return 1j * math.pi * total
+        nome, fourier, exp, two_pi_i = self._nome, self._fourier, cmath.exp, 2j * math.pi
+        pi_i_tau = 1j * math.pi * self._reduced_tau
+        points = np.array([point for point, _ in items], dtype=complex)
+        coeffs = [coeff for _, coeff in items]
+        # numpy's complex subtraction rounds each part as Python's complex ``-`` does
+        centred, shifts, _, flips = self._centred(nodes[:, None] - points, scaled=False)
+        sums = []
+        for row, row_shifts, row_flips in zip(centred.tolist(), shifts.tolist(), flips.tolist()):
+            total = 0j
+            for coeff, w, n, odd in zip(coeffs, row, row_shifts, row_flips):
+                phase = two_pi_i * w
+                x, p = exp(phase), exp(pi_i_tau - phase)
+                u, high, low, high_odd, low_odd = nome * x, 0j, 0j, 0j, 0j
+                for a, b in fourier:
+                    high = (high + a) * u
+                    low = (low + a) * p
+                    high_odd = (high_odd + b) * u
+                    low_odd = (low_odd + b) * p
+                ratio = ((x + 1.0) + (x * high_odd + low_odd)) / ((x - 1.0) + (x * high - low))
+                total += coeff * ((-ratio if odd else ratio) - 2 * n)
+            sums.append(1j * math.pi * total)
+        return np.array(sums, dtype=complex)
 
     def _theta1(self, w: complex) -> complex:
         """theta1(w | tau) = exp(c + a w^2) theta1(s w | tau') (``_reduce_modulus``).
 
-        With s w = (-1)^odd z' + m + n tau' centred as in ``_kernel_values``,
+        With s w = (-1)^odd z' + m + n tau' from ``_centred`` (a 1-element call),
             theta1(s w) = (-1)^(m + n + odd) exp(-i pi n (n tau' + 2 (-1)^odd z')) theta1(z'),
             theta1(z') = -i exp(i pi tau'/4 - i pi z') sum_k a_k p^k (x^(2k+1) - 1),
         by theta1(z + 1) = -theta1(z), theta1(z + tau) = -exp(-i pi tau - 2 pi i z) theta1(z) and oddness.
         """
-        tau, pi_i, z = self._reduced_tau, 1j * math.pi, self._scale * w
-        n = round(z.imag / tau.imag)
-        z -= n * tau
-        m = round(z.real)
-        z -= m
-        odd = z.imag < 0
-        if odd:
-            z = -z
+        tau, pi_i = self._reduced_tau, 1j * math.pi
+        z, n, m, odd = (part.item() for part in self._centred(np.array([w])))
         x, p = cmath.exp(2.0 * pi_i * z), cmath.exp(pi_i * (tau - 2.0 * z))
         u, high, low = self._nome * x, 0j, 0j
         for a, _ in self._fourier:
@@ -400,10 +419,15 @@ def theta1_log_derivative(z: complex, tau: complex) -> complex:
     """theta1'(z|tau) / theta1(z|tau), for any tau with Im tau > 0.
 
     (theta1'/theta1)(z | tau) = s (theta1'/theta1)(s*z | tau') + beta*z on the reduced
-    modulus of ``Torus(tau)``, evaluated by ``Torus._log_derivative_sum``.
+    modulus of ``Torus(tau)``, evaluated by ``Torus._log_derivative_sum`` at one node.
+    The pole: DiagonalSingularityError when z lies within the torus point tolerance
+    of a lattice point, the coincidence test of ``green_kernel``.
     """
     torus, z = Torus(tau), complex(z)
-    return torus._scale * torus._log_derivative_sum(torus._scale * z, ((0j, 1),)) + torus._slope * z
+    if torus.lattice_defect(z) < torus.point_tol:
+        raise DiagonalSingularityError()
+    total = torus._log_derivative_sum(np.array([torus._scale * z]), ((0j, 1),)).item()
+    return torus._scale * total + torus._slope * z
 
 
 def green_kernel(curve: CurveModel, p, q) -> float:
@@ -432,9 +456,10 @@ def kernel_matrix(curve: CurveModel, left, right) -> tuple[np.ndarray, np.ndarra
     (distance below the curve's point tolerance) or involves the sphere's
     point at infinity (infinite distance) is masked, never evaluated, and
     its kernel entry is 0; the defined entries are evaluated in one
-    ``curve._kernel_values`` call on their differences.  When ``left is
-    right`` only the upper triangle is evaluated and mirrored, so the
-    matrix is exactly symmetric.
+    ``curve._kernel_values`` call on the array of their differences: on the
+    torus one array reduction and centring of all of them, then the theta
+    series per entry.  When ``left is right`` only the upper triangle is
+    evaluated and mirrored, so the matrix is exactly symmetric.
     """
     symmetric = left is right
     left = [as_point(p) for p in left]
@@ -449,7 +474,7 @@ def kernel_matrix(curve: CurveModel, left, right) -> tuple[np.ndarray, np.ndarra
     lz = np.array([p.z for p in left], dtype=complex)
     rz = lz if symmetric else np.array([q.z for q in right], dtype=complex)
     # numpy's complex subtraction rounds each part as Python's complex ``-`` does
-    kernel[evaluated] = curve._kernel_values((lz[:, None] - rz[None, :])[evaluated].tolist())
+    kernel[evaluated] = curve._kernel_values((lz[:, None] - rz[None, :])[evaluated])
     if symmetric:
         kernel += kernel.T
     return kernel, distance, defined

@@ -78,6 +78,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # unpickle through the triple: the default slot restore would go through __setattr__
+        return _reduced, self.triple
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalExpansion:
     """Normalized local model z^A * sum_{j>=n0} coeffs[j-n0] * z^j.
 
@@ -139,7 +139,7 @@ def multiplicator(mc: MarkedCurve, d: ComplexDivisor, index: int) -> complex:
     return cmath.exp(complex(-2.0 * math.pi * (im_num / den), 2.0 * math.pi * (frac_num / den)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlueingData:
     """Two-chart glueing data of the invertible module attached to a divisor.
 
@@ -177,7 +177,7 @@ def glueing_data(mc: MarkedCurve, d: ComplexDivisor) -> GlueingData:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrincipalityCertificate:
     """Decision plus numerical evidence for principality of a divisor.
 
@@ -213,14 +213,23 @@ def _gauss_nodes(order_: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _segment_integral(f, z_start: complex, direction: complex, panels: int, order_: int) -> complex:
-    """Integral of f along the straight segment z_start + t*direction, t in [0,1]."""
+    """Integral of f along the straight segment z_start + t*direction, t in [0,1].
+
+    Composite Gauss-Legendre rule: f takes the complex array of all panels x order_
+    node positions and returns the array of its values, so it is called once per
+    segment.  Each position z_start + t*direction and the weighted sum are rounded
+    as Python's scalar complex arithmetic rounds them, node by node in panel order.
+    """
     nodes, weights = _gauss_nodes(order_)
-    total = 0j
     width = 1.0 / panels
-    for p in range(panels):
-        base = p * width
-        for x, w in zip(nodes.tolist(), weights.tolist()):
-            total += w * f(z_start + (base + width * x) * direction)
+    t = (np.arange(panels)[:, None] * width + width * nodes).ravel()
+    # float * complex, written out as Python's complex ``*`` computes it
+    positions = np.empty(t.shape, dtype=complex)
+    positions.real = z_start.real + (t * direction.real - 0.0 * direction.imag)
+    positions.imag = z_start.imag + (t * direction.imag + 0.0 * direction.real)
+    total = 0j
+    for w, value in zip(weights.tolist() * panels, f(positions).tolist()):
+        total += w * value
     return total * (width * direction)
 
 
@@ -278,8 +287,8 @@ def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> tup
     weight = sum(coeff for _, coeff in items)
     moment = sum(coeff * point.z for point, coeff in items)
 
-    def integrand(z: complex) -> complex:
-        return torus._log_derivative_sum(z, scaled)
+    def integrand(nodes: np.ndarray) -> np.ndarray:
+        return torus._log_derivative_sum(nodes, scaled)
 
     def period(start: complex, direction: complex, length_over_distance: float) -> complex:
         # sum_P n_P * beta * (integral of (z - P) dz along the segment)

@@ -207,7 +207,7 @@ def _exp(exponent: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairingResult:
     """Norm value of the metrized pairing together with its exponent data.
 
@@ -325,7 +325,7 @@ def hermitian_form(mc: MarkedCurve, d1: ComplexDivisor, d2: ComplexDivisor) -> c
     return complex(n @ kernel @ m.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalingResiduals:
     """Residuals of the two scaling laws; ``real_law`` is None for non-real alpha."""
 

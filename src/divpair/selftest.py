@@ -91,7 +91,7 @@ def tolerance_scale() -> float:
     return 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyResult:
     name: str
     cases: int
@@ -100,7 +100,7 @@ class PropertyResult:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelftestReport:
     seed: int
     cases: int

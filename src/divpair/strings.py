@@ -110,7 +110,7 @@ def momentum_divisor(mc: MarkedCurve, cfg: MomentumConfig, nu: int) -> ComplexDi
     return ComplexDivisor(mc, marked=list(enumerate(coeffs)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringFactor:
     """Pairing factor of a momentum configuration, with per-component detail.
 

@@ -18,6 +18,7 @@ from divpair import (
     abel_jacobi_sum,
     green_divisor,
     green_kernel,
+    is_principal,
     kernel_matrix,
     pairing_exponent,
     theta1,
@@ -186,6 +187,110 @@ def test_theta_functions_evaluate_near_the_real_axis_and_far_from_it():
         assert math.isfinite(green_kernel(Torus(tau), z, 0.25))
         assert cmath.isfinite(theta1_log_derivative(z, tau))
     assert cmath.isfinite(theta1(0.1, 0.3 + 1e-5j))
+
+
+def test_theta1_log_derivative_pole_is_a_diagonal_singularity():
+    # the coincidence test of green_kernel: lattice distance below TORUS_POINT_TOL
+    for z, tau in ((0, 1j), (1 + 1j, 1j), (1e-12, 1j), (2 - 3 * (2.3 + 0.4j) + 1e-12j, 2.3 + 0.4j)):
+        with pytest.raises(DiagonalSingularityError):
+            theta1_log_derivative(z, tau)
+    for z, tau in ((1e-6, 1j), (1 + 1j + 1e-6j, 1j), (2 - 3 * (2.3 + 0.4j) + 1e-6, 2.3 + 0.4j)):
+        assert cmath.isfinite(theta1_log_derivative(z, tau))
+
+
+# Scalar references: the centring and the Fourier-series loops, one Python
+# complex at a time.  The array evaluators must equal them bit for bit.
+
+
+def scalar_centre(torus, w, scaled=True):
+    """(z', n, m, odd) with s*w = (-1)^odd z' + m + n tau', one complex at a time."""
+    tau = torus._reduced_tau
+    z = torus._scale * w if scaled else w
+    n = round(z.imag / tau.imag)
+    z -= n * tau
+    m = round(z.real)
+    z -= m
+    odd = z.imag < 0
+    return (-z if odd else z), n, m, odd
+
+
+def scalar_sums(torus, z):
+    """x, p and the Horner sums A(q x), A(p) and their (2k + 1)-weighted twins at z'."""
+    x = cmath.exp(2j * math.pi * z)
+    p = cmath.exp(1j * math.pi * torus._reduced_tau - 2j * math.pi * z)
+    u, high, low, high_odd, low_odd = torus._nome * x, 0j, 0j, 0j, 0j
+    for a, b in torus._fourier:
+        high = (high + a) * u
+        low = (low + a) * p
+        high_odd = (high_odd + b) * u
+        low_odd = (low_odd + b) * p
+    return x, p, high, low, high_odd, low_odd
+
+
+def scalar_kernel(torus, w):
+    height = torus._reduced_tau.imag
+    z = scalar_centre(torus, w)[0]
+    x, _, high, low, _, _ = scalar_sums(torus, z)
+    im = z.imag
+    return math.log(abs((x - 1.0) + (x * high - low))) + math.pi * im * (1.0 - im / height) + torus._kernel_constant
+
+
+def scalar_log_derivative_sum(torus, z, items):
+    total = 0j
+    for point, coeff in items:
+        w, n, _, odd = scalar_centre(torus, z - point, scaled=False)
+        x, _, high, low, high_odd, low_odd = scalar_sums(torus, w)
+        ratio = ((x + 1.0) + (x * high_odd + low_odd)) / ((x - 1.0) + (x * high - low))
+        total += coeff * ((-ratio if odd else ratio) - 2 * n)
+    return 1j * math.pi * total
+
+
+def scalar_theta1(torus, w):
+    tau, pi_i = torus._reduced_tau, 1j * math.pi
+    z, n, m, odd = scalar_centre(torus, w)
+    x, p = cmath.exp(2.0 * pi_i * z), cmath.exp(pi_i * (tau - 2.0 * z))
+    u, high, low = torus._nome * x, 0j, 0j
+    for a, _ in torus._fourier:
+        high = (high + a) * u
+        low = (low + a) * p
+    log_scale = torus._log_constant + 0.5 * torus._slope * w * w + pi_i * (m + n + odd - 0.5 + 0.25 * tau - z)
+    if n:
+        log_scale -= pi_i * n * (n * tau + 2.0 * (-z if odd else z))
+    return cmath.exp(log_scale) * ((x - 1.0) + (x * high - low))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except OverflowError:
+        return OverflowError
+
+
+ORACLE_TAUS = [cmath.exp(1j * math.pi / 3), 1j, 0.3 + 0.4j, 2.3 + 0.4j, -7.1 + 0.004j, 0.45 + 0.05j, 1000j]
+
+
+@pytest.mark.parametrize("tau", ORACLE_TAUS)
+def test_array_centring_equals_the_scalar_loops_bit_for_bit(tau):
+    rng = random.Random(61)
+    torus = Torus(tau)
+    # off the cell: up to three periods away in each direction, and on its edges
+    points = [rng.uniform(-3, 3) + rng.uniform(-3, 3) * tau for _ in range(14)]
+    points += [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)]
+    points += [0.5, 0.5 * tau, 0.5 + 0.5 * tau, -0.5 - 1.5 * tau]
+    kernel, _, defined = kernel_matrix(torus, points, points[::-1])
+    for i, p in enumerate(points):
+        for j, q in enumerate(points[::-1]):
+            if defined[i, j]:
+                assert kernel[i, j] == scalar_kernel(torus, p - q)
+    for z in points[:-4]:
+        # theta1 itself leaves the float range far off the real axis of a thin torus
+        assert outcome(theta1, z, tau) == outcome(scalar_theta1, torus, z)
+        expected = torus._scale * scalar_log_derivative_sum(torus, torus._scale * z, ((0j, 1),)) + torus._slope * z
+        assert theta1_log_derivative(z, tau) == expected
+    items = [(torus._scale * z, c) for z, c in zip(points[:4], (2, -1, 1j, -1 - 1j))]
+    nodes = [torus._scale * z for z in points[4:]]
+    sums = torus._log_derivative_sum(np.array(nodes), items)
+    assert sums.tolist() == [scalar_log_derivative_sum(torus, z, items) for z in nodes]
 
 
 def random_modular_word(rng, length):
@@ -459,6 +564,24 @@ def test_kernel_matrix_evaluates_each_defined_entry_once(monkeypatch, curve):
     kernel_matrix(curve, left, left)
     assert batches == [5, 3]
     assert calls == {"kernel": 0}
+
+
+def test_monodromy_certificate_evaluates_each_contour_in_one_call(monkeypatch):
+    # one integrand call per contour, over all panels x 32 Gauss nodes of it
+    batches = []
+    evaluate = Torus._log_derivative_sum
+
+    def recording(self, nodes, items):
+        batches.append(len(nodes))
+        return evaluate(self, nodes, items)
+
+    monkeypatch.setattr(Torus, "_log_derivative_sum", recording)
+    torus = Torus(0.1 + 1.1j)
+    mc = MarkedCurve(torus)
+    p, q = torus.from_lattice_coords(0.2, 0.3), torus.from_lattice_coords(0.6, 0.7)
+    # clearance 0.3 and short contours: 24 panels each
+    is_principal(mc, ComplexDivisor(mc, integral=[(p, 1), (q, -1)]))
+    assert batches == [24 * 32, 24 * 32]
 
 
 @pytest.mark.parametrize("tau", [0.3 + 1.1j, 2.3 + 0.2j, -7.1 + 0.004j, 0.45 + 0.05j, 0.2 + 30j])

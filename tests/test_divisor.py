@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -37,6 +38,14 @@ def test_gaussian_rational_arithmetic():
     assert a.to_complex() == 0.5 + 1j
     assert not a.is_integer() and GaussianRational(3).is_integer()
     assert str(a) == "1/2+i" and str(-I) == "-i" and str(GaussianRational(2, -3)) == "2-3i"
+
+
+def test_gaussian_rational_pickles_through_its_triple():
+    for value in (GaussianRational(Fraction(-3, 4), Fraction(5, 6)), I, GaussianRational(7), GaussianRational(0)):
+        restored = pickle.loads(pickle.dumps(value))
+        assert restored.triple == value.triple and restored == value and hash(restored) == hash(value)
+        with pytest.raises(AttributeError):
+            restored._a = 1
 
 
 def test_marked_curve_validation():

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from divpair import (
@@ -221,8 +222,11 @@ def test_cycle_periods_off_the_fundamental_domain_match_the_unreduced_integrand(
         items = ComplexDivisor(mc, integral=support).support_items()
         a_period, b_period, clearance = _cycle_periods(t, items)
 
-        def integrand(z, items=items):
-            return sum(coeff * theta1_log_derivative(z - point.z, tau) for point, coeff in items)
+        def integrand(nodes, items=items):
+            return np.array([
+                sum(coeff * theta1_log_derivative(z - point.z, tau) for point, coeff in items)
+                for z in nodes.tolist()
+            ])
 
         coords = [t.lattice_coords(point.z) for point, _ in items]
         a0 = _boundary_offset([a % 1.0 for a, _ in coords])
