@@ -126,22 +126,22 @@ def _in_range(value: float) -> float | None:
 # --- shared argument handling -----------------------------------------------
 
 
-def _build_curve(args):
+def _build_marked_curve(args) -> tuple[MarkedCurve, dict]:
+    """The marked curve of the curve flags, and the report inputs they parse to."""
+    inputs = {"curve": args.curve}
     if args.curve == "torus":
         if args.tau is None:
             raise ParseError("--tau is required for the torus")
-        return Torus(parse_complex(args.tau))
-    if args.tau is not None:
+        curve = Torus(parse_complex(args.tau))
+        inputs["tau"] = curve.tau
+    elif args.tau is not None:
         raise ParseError("--tau only applies to the torus")
-    return Sphere()
-
-
-def _build_marked_curve(args) -> MarkedCurve:
-    curve = _build_curve(args)
+    else:
+        curve = Sphere()
     marks = []
     if getattr(args, "marks", None):
-        marks = [parse_complex(tok) for tok in args.marks.split(",") if tok.strip()]
-    return MarkedCurve(curve, marks)
+        marks = inputs["marks"] = [parse_complex(tok) for tok in args.marks.split(",") if tok.strip()]
+    return MarkedCurve(curve, marks), inputs
 
 
 def _describe_divisor(d: ComplexDivisor) -> dict:
@@ -157,27 +157,15 @@ def _describe_divisor(d: ComplexDivisor) -> dict:
     }
 
 
-def _curve_inputs(args) -> dict:
-    inputs = {"curve": args.curve}
-    if args.tau is not None:
-        inputs["tau"] = parse_complex(args.tau)
-    if getattr(args, "marks", None):
-        inputs["marks"] = [
-            parse_complex(tok) for tok in args.marks.split(",") if tok.strip()
-        ]
-    return inputs
-
-
 # --- subcommands -------------------------------------------------------------
 
 
 def _cmd_green(args) -> int:
-    mc = _build_marked_curve(args)
+    mc, inputs = _build_marked_curve(args)
     d = parse_divisor(args.divisor, mc)
     at = args.at.strip()
     point = CurvePoint.infinity() if at.lower() == "inf" else parse_complex(at)
     value = green_divisor(mc.curve, d, point)
-    inputs = _curve_inputs(args)
     inputs["divisor"] = _describe_divisor(d)
     inputs["at"] = point if isinstance(point, complex) else "inf"
     _emit(
@@ -194,7 +182,7 @@ def _cmd_green(args) -> int:
 
 
 def _cmd_pairing(args) -> int:
-    mc = _build_marked_curve(args)
+    mc, inputs = _build_marked_curve(args)
     d1 = parse_divisor(args.d1, mc)
     d2 = parse_divisor(args.d2, mc)
     formulas = FORMULAS if args.formula == "all" else (args.formula,)
@@ -206,7 +194,6 @@ def _cmd_pairing(args) -> int:
     # relative once |exponent| > 1: beyond 2^13 an absolute 1e-12 is below one ulp
     agreement_tol = FORMULA_AGREEMENT_TOL * tolerance_scale() * max(1.0, abs(primary.exponent))
     status = "pass" if discrepancy <= agreement_tol else "fail"
-    inputs = _curve_inputs(args)
     inputs["d1"] = _describe_divisor(d1)
     inputs["d2"] = _describe_divisor(d2)
     _emit(
@@ -233,7 +220,7 @@ def _cmd_pairing(args) -> int:
 
 
 def _cmd_reciprocity(args) -> int:
-    mc = _build_marked_curve(args)
+    mc, inputs = _build_marked_curve(args)
     curve = mc.curve
     fz, fp, fc = parse_rational_function_spec(args.f)
     gz, gp, gc = parse_rational_function_spec(args.g)
@@ -242,7 +229,6 @@ def _cmd_reciprocity(args) -> int:
     residual = check_weil_reciprocity(f, g, mc)
     threshold = RECIPROCITY_TOL * tolerance_scale()
     status = "pass" if residual < threshold else "fail"
-    inputs = _curve_inputs(args)
     inputs["f"] = args.f
     inputs["g"] = args.g
     _emit(
@@ -259,7 +245,7 @@ def _cmd_reciprocity(args) -> int:
 
 
 def _cmd_class(args) -> int:
-    mc = _build_marked_curve(args)
+    mc, inputs = _build_marked_curve(args)
     d = parse_divisor(args.divisor, mc)
     descriptor = class_invariant(mc, d)
     certificate = is_principal(mc, d)
@@ -276,7 +262,6 @@ def _cmd_class(args) -> int:
             "period_defect": certificate.period_defect,
             "periods_in_2pi_i_Z": certificate.periods_integral,
         }
-    inputs = _curve_inputs(args)
     inputs["divisor"] = _describe_divisor(d)
     _emit(
         _report(

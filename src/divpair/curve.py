@@ -106,6 +106,21 @@ class CurveModel:
     def point_distance(self, p, q) -> float:
         raise NotImplementedError
 
+    def add_at(self, entries: list, point, weight) -> int:
+        """Add ``weight`` at ``point`` to a list of (point, weight) entries with pairwise distinct points.
+
+        The one coincidence rule of divisors and functions: the weight goes onto the
+        first entry whose point coincides with ``point`` (``points_equal``, the
+        existing point first), otherwise it becomes a new last entry.  Returns the
+        entry's index.
+        """
+        for k, (existing, total) in enumerate(entries):
+            if self.points_equal(existing, point):
+                entries[k] = (existing, total + weight)
+                return k
+        entries.append((point, weight))
+        return len(entries) - 1
+
     def reduce_point(self, p) -> CurvePoint:
         raise NotImplementedError
 
@@ -350,6 +365,7 @@ class Torus(CurveModel):
             theta1(s w) = (-1)^(m + n + odd) exp(-i pi n (n tau' + 2 (-1)^odd z')) theta1(z'),
             theta1(z') = -i exp(i pi tau'/4 - i pi z') sum_k a_k p^k (x^(2k+1) - 1),
         by theta1(z + 1) = -theta1(z), theta1(z + tau) = -exp(-i pi tau - 2 pi i z) theta1(z) and oddness.
+        DomainError where the scale exp(...) leaves the float range.
         """
         tau, pi_i = self._reduced_tau, 1j * math.pi
         z, n, m, odd = (part.item() for part in self._centred(np.array([w])))
@@ -361,7 +377,11 @@ class Torus(CurveModel):
         log_scale = self._log_constant + 0.5 * self._slope * w * w + pi_i * (m + n + odd - 0.5 + 0.25 * tau - z)
         if n:
             log_scale -= pi_i * n * (n * tau + 2.0 * (-z if odd else z))
-        return cmath.exp(log_scale) * ((x - 1.0) + (x * high - low))
+        try:
+            scale = cmath.exp(log_scale)
+        except OverflowError:
+            raise DomainError("theta1 outside the float range") from None
+        return scale * ((x - 1.0) + (x * high - low))
 
 
 def _require_upper_half(tau: complex) -> complex:
@@ -410,7 +430,8 @@ def theta1(z: complex, tau: complex) -> complex:
 
     theta1(z) = 2 sum_{k>=0} (-1)^k exp(i*pi*tau*(k + 1/2)^2) sin((2k + 1) pi z), evaluated
     after SL2(Z) reduction as this Fourier series on the reduced modulus, at most four
-    terms, with the tables of ``Torus(tau)`` (``Torus._theta1``).
+    terms, with the tables of ``Torus(tau)`` (``Torus._theta1``).  DomainError where
+    |theta1| leaves the float range, as far off the real axis of a thin torus.
     """
     return Torus(tau)._theta1(complex(z))
 

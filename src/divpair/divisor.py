@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .curve import CurveModel, CurvePoint, Sphere, Torus, abel_jacobi_sum, as_point
+from .curve import CurveModel, CurvePoint, Torus, abel_jacobi_sum, as_point
 from .errors import (
     ContextMismatchError,
     DegreeIntegralityError,
@@ -26,7 +26,9 @@ from .errors import (
     NonIntegralCoefficientError,
 )
 
-CLASS_LATTICE_TOL = 1e-9
+# Sum n_P P lies in the lattice when it is this close to a lattice point: the one
+# Abel-Jacobi tolerance of class equality, principality and elliptic functions
+JACOBI_LATTICE_TOL = 1e-8
 
 __all__ = [
     "GaussianRational",
@@ -257,26 +259,12 @@ class MarkedCurve:
     def n_marks(self) -> int:
         return len(self.marks)
 
-    def mark(self, index: int) -> CurvePoint:
-        if not 0 <= index < len(self.marks):
-            raise DomainError("mark index out of range")
-        return self.marks[index]
-
     def compatible_with(self, other: "MarkedCurve") -> bool:
         if self.curve != other.curve or len(self.marks) != len(other.marks):
             return False
         return all(
             self.curve.points_equal(p, q) for p, q in zip(self.marks, other.marks)
         )
-
-    def mark_index_of(self, point: CurvePoint) -> int | None:
-        for i, mark in enumerate(self.marks):
-            if self.curve.points_equal(mark, point):
-                return i
-        return None
-
-    def divisor(self, marked=None, integral=None) -> "ComplexDivisor":
-        return ComplexDivisor(self, marked=marked, integral=integral)
 
     def empty_divisor(self) -> "ComplexDivisor":
         return ComplexDivisor(self)
@@ -291,8 +279,9 @@ class ComplexDivisor:
 
     Instances are immutable and canonical: zero coefficients are dropped,
     integral-part points lattice-equal to a mark are folded into the
-    marked part, lattice-equal integral points are merged, and torus
-    points are stored as fundamental-cell representatives.  The degree
+    marked part, lattice-equal integral points are merged (both by
+    ``CurveModel.add_at``, the marks first), and torus points are stored
+    as fundamental-cell representatives.  The degree
     and the marked degree are fixed at construction; the float support is
     converted once, on first use.
     """
@@ -305,18 +294,17 @@ class ComplexDivisor:
         marked: Mapping[int, object] | Iterable[tuple[int, object]] | None = None,
         integral: Mapping[CurvePoint, int] | Iterable[tuple[object, int]] | None = None,
     ):
-        curve = mc.curve
-        coeffs: dict[int, GaussianRational] = {}
+        curve, n_marks = mc.curve, mc.n_marks
+        # the marks first, then the integral points: an entry's index below n_marks is a mark
+        entries = [(mark, GR_ZERO) for mark in mc.marks]
         if marked:
             items = marked.items() if isinstance(marked, Mapping) else marked
             for index, value in items:
                 index = operator.index(index)
-                if not 0 <= index < mc.n_marks:
+                if not 0 <= index < n_marks:
                     raise DomainError("mark index out of range")
-                coeffs[index] = coeffs.get(index, GR_ZERO) + GaussianRational.coerce(value)
-
-        points: list[CurvePoint] = []
-        weights: list[int] = []
+                mark, coeff = entries[index]
+                entries[index] = (mark, coeff + GaussianRational.coerce(value))
         if integral:
             items = integral.items() if isinstance(integral, Mapping) else integral
             for raw_point, value in items:
@@ -324,33 +312,18 @@ class ComplexDivisor:
                 coeff = GaussianRational.coerce(value)
                 if coeff.is_zero():
                     continue
-                if point.at_infinity:
-                    if not isinstance(curve, Sphere):
-                        raise DomainError("the torus has no point at infinity")
-                    mark_index = None
-                else:
-                    point = curve.reduce_point(point)
-                    mark_index = mc.mark_index_of(point)
-                if mark_index is not None:
-                    coeffs[mark_index] = coeffs.get(mark_index, GR_ZERO) + coeff
-                    continue
-                if not coeff.is_integer():
+                # the torus has no point at infinity; the sphere's never equals an affine mark
+                point = curve.reduce_point(point)
+                if curve.add_at(entries, point, coeff) >= n_marks and not coeff.is_integer():
                     raise NonIntegralCoefficientError()
-                weight = coeff._a
-                for k, existing in enumerate(points):
-                    if curve.points_equal(existing, point):
-                        weights[k] += weight
-                        break
-                else:
-                    points.append(point)
-                    weights.append(weight)
 
-        marked_part = _nonzero_sorted(coeffs)
+        marked_part = tuple((i, c) for i, (_, c) in enumerate(entries[:n_marks]) if not c.is_zero())
         marked_degree = sum((coeff for _, coeff in marked_part), GR_ZERO)
-        total = marked_degree + sum(weights)
+        integral_part = _integral_part((point, weight._a) for point, weight in entries[n_marks:])
+        total = marked_degree + sum(weight for _, weight in integral_part)
         if not total.is_integer():
             raise DegreeIntegralityError()
-        _fill_divisor(self, mc, marked_part, _integral_part(zip(points, weights)), marked_degree, total._a)
+        _fill_divisor(self, mc, marked_part, integral_part, marked_degree, total._a)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexDivisor is immutable")
@@ -374,14 +347,8 @@ class ComplexDivisor:
     def marked_degree(self) -> GaussianRational:
         return self._marked_degree
 
-    def exact_items(self) -> list[tuple[CurvePoint, GaussianRational]]:
-        """Support with exact coefficients, marks first in mark order."""
-        out = [(self.mc.mark(i), coeff) for i, coeff in self.marked]
-        out.extend((point, GaussianRational(w)) for point, w in self.integral)
-        return out
-
     def support_items(self) -> list[tuple[CurvePoint, complex]]:
-        """Support with coefficients as complex floats, in ``exact_items`` order."""
+        """Support with coefficients as complex floats, marks first in mark order."""
         if self._support is None:
             # converted on first use, not at construction: intermediate sums never
             # need floats, and a coefficient beyond the float range then fails
@@ -413,17 +380,9 @@ class ComplexDivisor:
         coeffs = dict(self.marked)
         for index, coeff in other.marked:
             coeffs[index] = coeffs[index] + coeff if index in coeffs else coeff
-        points_equal = self.mc.curve.points_equal
         pairs = list(self.integral)
-        own = range(len(pairs))
         for point, weight in other.integral:
-            for k in own:
-                existing, total = pairs[k]
-                if points_equal(existing, point):
-                    pairs[k] = (existing, total + weight)
-                    break
-            else:
-                pairs.append((point, weight))
+            self.mc.curve.add_at(pairs, point, weight)
         return _canonical(
             self.mc,
             _nonzero_sorted(coeffs),
@@ -551,12 +510,12 @@ class ClassDescriptor:
     def __setattr__(self, name, value):
         raise AttributeError("ClassDescriptor is immutable")
 
-    def matches(self, other: "ClassDescriptor", tol: float = CLASS_LATTICE_TOL) -> bool:
+    def matches(self, other: "ClassDescriptor") -> bool:
         if self.degree != other.degree:
             return False
         if self.jacobian is None or other.jacobian is None:
             return self.jacobian is None and other.jacobian is None
-        return self.torus.lattice_defect(self.jacobian - other.jacobian) < tol
+        return self.torus.lattice_defect(self.jacobian - other.jacobian) < JACOBI_LATTICE_TOL
 
     def combine(self, other: "ClassDescriptor") -> "ClassDescriptor":
         """Component-wise group law (degree adds; torus part adds mod lattice)."""

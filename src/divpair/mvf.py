@@ -27,11 +27,10 @@ from .curve import (
     abel_jacobi_sum,
     as_point,
 )
-from .divisor import ComplexDivisor, GaussianRational, MarkedCurve
+from .divisor import JACOBI_LATTICE_TOL, ComplexDivisor, GaussianRational, MarkedCurve
 from .errors import DomainError
 
 MAX_SERIES_TERMS = 32
-JACOBI_LATTICE_TOL = 1e-8
 PERIOD_TOL = 1e-6
 
 __all__ = [
@@ -82,13 +81,21 @@ def normalize_expansion(a_raw, n0_raw: int, coeffs) -> LocalExpansion:
         n0_raw += 1
     if not coeffs:
         raise DomainError("expansion has no nonzero coefficient")
-    a_raw = complex(a_raw)
-    shift = math.floor(a_raw.real)
-    a = a_raw - shift
-    if a.real >= 1.0:  # floor rounding at the upper edge
-        shift += 1
-        a = a_raw - shift
+    a, shift = _split_order(complex(a_raw))
     return LocalExpansion(a, n0_raw + shift, tuple(coeffs))
+
+
+def _split_order(total: complex) -> tuple[complex, int]:
+    """(A, n) with A + n = total and 0 <= Re A < 1: n = floor(Re total), A = total - n.
+
+    total - n is exact except for -1 < Re total < 0, where total + 1 rounds to 1.0
+    once Re total >= -2**-54; there the tiny real part is dropped: A = i Im total, n = 0.
+    """
+    n = math.floor(total.real)
+    a = total - n
+    if a.real >= 1.0:
+        return complex(0.0, total.imag), 0
+    return a, n
 
 
 def order(e: LocalExpansion) -> complex:
@@ -97,22 +104,13 @@ def order(e: LocalExpansion) -> complex:
 
 
 def expansion_multiply(a: LocalExpansion, b: LocalExpansion) -> LocalExpansion:
-    """Product of local models: exponents add with carry, series convolve.
+    """Product of local models: orders add, series convolve.
 
     The product exponent is derived from order(a) + order(b) so the order
     is additive in the same floating arithmetic the tests use; the series
     is the Cauchy product capped at MAX_SERIES_TERMS coefficients.
     """
-    order_sum = order(a) + order(b)
-    carry = 1 if a.branch_exponent.real + b.branch_exponent.real >= 1.0 else 0
-    n0 = a.leading_index + b.leading_index + carry
-    exponent = order_sum - n0
-    while exponent.real < 0.0:
-        n0 -= 1
-        exponent = order_sum - n0
-    while exponent.real >= 1.0:
-        n0 += 1
-        exponent = order_sum - n0
+    exponent, n0 = _split_order(order(a) + order(b))
 
     length = min(len(a.coeffs) + len(b.coeffs) - 1, MAX_SERIES_TERMS)
     product = [0j] * length

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import CurveModel, CurvePoint, Sphere, Torus, as_point, kernel_matrix
-from .divisor import ComplexDivisor, GaussianRational, MarkedCurve
+from .divisor import JACOBI_LATTICE_TOL, ComplexDivisor, GaussianRational, MarkedCurve, _integral_part
 from .errors import (
     ContextMismatchError,
     DegreeZeroRequiredError,
@@ -84,14 +84,8 @@ class RationalFunctionData:
                 raise DomainError(
                     "the multiplicity at infinity is implicit on the sphere"
                 )
-            for k, (existing, _) in enumerate(merged):
-                if curve.points_equal(existing, point):
-                    merged[k] = (existing, merged[k][1] + mult)
-                    break
-            else:
-                merged.append((point, mult))
-        merged = [(p, m) for p, m in merged if m != 0]
-        merged.sort(key=lambda item: item[0].sort_key())
+            curve.add_at(merged, point, mult)
+        merged = _integral_part(merged)
 
         winding = 0
         if isinstance(curve, Torus):
@@ -100,8 +94,7 @@ class RationalFunctionData:
                     "an elliptic function needs as many zeros as poles"
                 )
             weighted = sum((m * p.z for p, m in merged), 0j)
-            defect = curve.lattice_defect(weighted)
-            if defect > 1e-9:
+            if not curve.lattice_defect(weighted) < JACOBI_LATTICE_TOL:
                 raise DomainError(
                     "zeros and poles must have a lattice-point coordinate sum"
                 )
@@ -109,7 +102,7 @@ class RationalFunctionData:
             winding = round(b)
 
         object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "zeros_poles", tuple(merged))
+        object.__setattr__(self, "zeros_poles", merged)
         object.__setattr__(self, "leading_constant", constant)
         object.__setattr__(self, "_tau_winding", winding)
 
@@ -172,12 +165,8 @@ def weil_symbol(f: RationalFunctionData, d: ComplexDivisor) -> complex:
     if not d.has_integer_coefficients():
         raise DomainError("weil_symbol requires an integral divisor")
     support = d.support_items()
-    curve = d.mc.curve
-    if any(
-        curve.point_distance(p, q) <= DISJOINT_TOL
-        for p, _ in f.divisor_points()
-        for q, _ in support
-    ):
+    distance = d.mc.curve._distance_matrix([p for p, _ in f.divisor_points()], [q for q, _ in support])
+    if (distance <= DISJOINT_TOL).any():
         raise DisjointSupportError()
     exponent = 0j
     for point, coeff in support:

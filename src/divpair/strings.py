@@ -65,12 +65,6 @@ class MomentumConfig:
     def __len__(self) -> int:
         return len(self.momenta)
 
-    def hermitian_product(self, i: int, j: int) -> complex:
-        """<p_i, p_j> = sum_nu p_i^nu * conj(p_j^nu)."""
-        return sum(
-            a * b.conjugate() for a, b in zip(self.momenta[i], self.momenta[j])
-        )
-
     def apply_unitary(self, matrix) -> "MomentumConfig":
         """Rotate every vector by a 13x13 unitary (rows transform as p -> U p)."""
         rotated = []

@@ -189,6 +189,22 @@ def test_theta_functions_evaluate_near_the_real_axis_and_far_from_it():
     assert cmath.isfinite(theta1(0.1, 0.3 + 1e-5j))
 
 
+def test_theta1_outside_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        theta1(0.3 + 2900j, 1000j)
+    torus = Torus(1000j)
+    for k in range(1, 30):
+        z = 0.3 + 100j * k
+        # where the scalar reference overflows, and only there
+        try:
+            expected = scalar_theta1(torus, z)
+        except OverflowError:
+            with pytest.raises(DomainError):
+                theta1(z, 1000j)
+        else:
+            assert theta1(z, 1000j) == expected
+
+
 def test_theta1_log_derivative_pole_is_a_diagonal_singularity():
     # the coincidence test of green_kernel: lattice distance below TORUS_POINT_TOL
     for z, tau in ((0, 1j), (1 + 1j, 1j), (1e-12, 1j), (2 - 3 * (2.3 + 0.4j) + 1e-12j, 2.3 + 0.4j)):
@@ -260,9 +276,11 @@ def scalar_theta1(torus, w):
 
 
 def outcome(f, *args):
+    """f(*args), or OverflowError where it leaves the float range: the library raises
+    DomainError there, the scalar reference cmath's OverflowError."""
     try:
         return f(*args)
-    except OverflowError:
+    except (DomainError, OverflowError):
         return OverflowError
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import pickle
 import random
@@ -15,13 +16,16 @@ from divpair import (
     GaussianRational,
     MarkedCurve,
     NonIntegralCoefficientError,
+    RationalFunctionData,
     Sphere,
     Torus,
     class_invariant,
     degree,
     divisor_add,
     divisor_scale,
+    is_principal,
 )
+from divpair.curve import as_point
 
 I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
@@ -323,3 +327,165 @@ def test_divisor_sum_merges_lattice_translates_and_drops_zeros():
     _assert_same_divisor(a + c, _constructed_sum(a, c))
     assert dict((a + c).integral)[a.integral[0][0]] == 3
     assert (a + c).marked_coefficient(0) == GaussianRational(Fraction(-1, 2), 1)
+
+
+@pytest.mark.parametrize("defect, decision", [(5e-10, True), (5e-9, True), (5e-8, False)])
+def test_class_equality_principality_and_functions_share_one_lattice_tolerance(defect, decision):
+    t = Torus(1j)
+    mc = MarkedCurve(t)
+    d1 = ComplexDivisor(mc, integral=[(0.25, 1), (0.75, -1)])
+    d2 = ComplexDivisor(mc, integral=[(0.25 + defect, 1), (0.75, -1)])
+    same_class = class_invariant(mc, d1).matches(class_invariant(mc, d2))
+    principal = is_principal(mc, d1 - d2).principal
+    try:  # zeros and poles with coordinate sum `defect`
+        RationalFunctionData.from_zeros_poles(t, [0.25 + defect, 0.5], [0.75, 0])
+    except DomainError:
+        accepted = False
+    else:
+        accepted = True
+    assert (same_class, principal, accepted) == (decision,) * 3
+
+
+# --- the coincidence rule against the point scans it replaced ----------------
+
+
+def _scan_constructor_parts(mc: MarkedCurve, marked, integral):
+    """Canonical parts by a scan of the marks per point, then a greedy merge of the rest."""
+    curve, coeffs, points, weights = mc.curve, {}, [], []
+    for index, value in marked:
+        coeffs[index] = coeffs.get(index, GaussianRational(0)) + GaussianRational.coerce(value)
+    for raw, value in integral:
+        point, coeff = as_point(raw), GaussianRational.coerce(value)
+        if coeff.is_zero():
+            continue
+        index = None
+        if not point.at_infinity:
+            point = curve.reduce_point(point)
+            index = next((i for i, mark in enumerate(mc.marks) if curve.points_equal(mark, point)), None)
+        if index is not None:
+            coeffs[index] = coeffs.get(index, GaussianRational(0)) + coeff
+            continue
+        if not coeff.is_integer():
+            raise NonIntegralCoefficientError()
+        for k, existing in enumerate(points):
+            if curve.points_equal(existing, point):
+                weights[k] += int(coeff.re)
+                break
+        else:
+            points.append(point)
+            weights.append(int(coeff.re))
+    marked_part = tuple((i, c) for i, c in sorted(coeffs.items()) if not c.is_zero())
+    if not (sum((c for _, c in marked_part), GaussianRational(0)) + sum(weights)).is_integer():
+        raise DegreeIntegralityError()
+    return marked_part, _sorted_part(zip(points, weights))
+
+
+def _scan_sum_parts(a: ComplexDivisor, b: ComplexDivisor):
+    """Parts of a + b: each integral point of b merged into the first coinciding one of a."""
+    coeffs = dict(a.marked)
+    for index, coeff in b.marked:
+        coeffs[index] = coeffs[index] + coeff if index in coeffs else coeff
+    pairs = list(a.integral)
+    for point, weight in b.integral:
+        for k, (existing, total) in enumerate(a.integral):
+            if a.mc.curve.points_equal(existing, point):
+                pairs[k] = (existing, pairs[k][1] + weight)
+                break
+        else:
+            pairs.append((point, weight))
+    return tuple((i, c) for i, c in sorted(coeffs.items()) if not c.is_zero()), _sorted_part(pairs)
+
+
+def _scan_function_parts(curve, zeros_poles) -> tuple:
+    merged = []
+    for point, mult in zeros_poles:
+        if mult == 0:
+            continue
+        for k, (existing, total) in enumerate(merged):
+            if curve.points_equal(existing, point):
+                merged[k] = (existing, total + mult)
+                break
+        else:
+            merged.append((point, mult))
+    return _sorted_part(merged)
+
+
+def _sorted_part(pairs) -> tuple:
+    return tuple(sorted(((p, w) for p, w in pairs if w != 0), key=lambda item: item[0].sort_key()))
+
+
+@pytest.mark.parametrize(
+    "curve", [Sphere(), Torus(1j), Torus(0.3 + 1.1j), Torus(2.7 + 0.05j)], ids=["sphere", "square", "tilted", "skewed"]
+)
+def test_coincidence_rule_matches_the_point_scans(curve):
+    rng = random.Random(77)
+    torus = isinstance(curve, Torus)
+    marks = [0.15 + 0.02j, 0.6 + 0.03j, 0.4 + 0.04j] if torus else [0.1 + 0.2j, -1.3 + 0.4j, 2.0 - 1.0j]
+    mc = MarkedCurve(curve, marks)
+
+    def translate(z: complex) -> complex:
+        return z + rng.randint(-2, 2) + rng.randint(-2, 2) * curve.tau if torus else z
+
+    def near(z: complex, tols: float) -> complex:
+        return z + tols * curve.point_tol * cmath.exp(2j * math.pi * rng.random())
+
+    def draw_points(count: int) -> list[tuple[complex, bool]]:
+        """(point, whether it coincides with a mark): fresh points, marks and earlier
+        points, moved by 0.1 point_tol (merges), 0.6 (only the first copy of a chain
+        merges) or 2 (stays distinct), and by a lattice vector."""
+        drawn = []
+        for _ in range(count):
+            choice, on_mark = rng.random(), False
+            if choice < 0.3 or not drawn:
+                z = rng.uniform(0, 1) + rng.uniform(0, 1) * curve.tau if torus else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            elif choice < 0.55:
+                z, on_mark = rng.choice(marks), True
+            else:
+                z = rng.choice(drawn)[0]
+            if rng.random() < 0.7:
+                tols = rng.choice((0.1, 0.6, 2.0))
+                z, on_mark = near(z, tols), on_mark and tols < 1
+            drawn.append((translate(z), on_mark))
+        return drawn
+
+    divisors, raised, terms = [], set(), 0
+    for _ in range(150):
+        integral = []
+        for z, on_mark in draw_points(rng.randint(2, 8)):
+            if on_mark or rng.random() < 0.03:  # a non-integer coefficient, raising off the marks
+                integral.append((z, GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1))))
+            else:
+                integral.append((z, rng.randint(-2, 2)))  # zeros included
+        if not torus and rng.random() < 0.5:
+            integral += [(CurvePoint.infinity(), rng.randint(-2, 2)), (CurvePoint.infinity(), rng.randint(-2, 2))]
+        # a marked term that makes the degree integral, or, now and then, half-integral
+        total = sum((GaussianRational.coerce(w) for _, w in integral), GaussianRational(0))
+        marked = [(rng.randrange(3), -total + (HALF if rng.random() < 0.1 else rng.randint(-2, 2)))]
+        try:
+            expected = _scan_constructor_parts(mc, marked, integral)
+        except DomainError as exc:
+            with pytest.raises(type(exc)):
+                ComplexDivisor(mc, marked=marked, integral=integral)
+            raised.add(type(exc))
+            continue
+        d = ComplexDivisor(mc, marked=marked, integral=integral)
+        assert (d.marked, d.integral) == expected
+        divisors.append(d)
+        terms += len(integral) + 1 - len(d.marked) - len(d.integral)
+    assert len(divisors) > 100 and terms > 200  # most draws are divisors; many terms merge or drop
+    assert raised == {NonIntegralCoefficientError, DegreeIntegralityError}
+
+    for a, b in zip(divisors, divisors[1:]):
+        total = a + b
+        assert (total.marked, total.integral) == _scan_sum_parts(a, b)
+
+    for _ in range(150):
+        zeros = [z for z, _ in draw_points(rng.randint(1, 4))]
+        # a translate or a copy of each zero as a pole: the coordinate sum stays
+        # within 4 * 2 point_tol of the lattice
+        poles = [translate(near(z, rng.choice((0.0, 0.1, 0.6, 2.0)))) for z in zeros]
+        items = [(CurvePoint(z), 1) for z in zeros] + [(CurvePoint(z), -1) for z in poles]
+        if not torus:
+            items.append((CurvePoint(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))), rng.randint(-2, 2)))
+        rng.shuffle(items)
+        assert RationalFunctionData(curve, items).zeros_poles == _scan_function_parts(curve, items)

@@ -91,6 +91,50 @@ def test_order_additive_on_dyadic_grid():
         assert order(expansion_multiply(a, b)) == order(a) + order(b)
 
 
+def _loop_split(a: LocalExpansion, b: LocalExpansion):
+    """The carry-and-correction search for the product's (A, n0); None where A is not normal."""
+    order_sum = order(a) + order(b)
+    n0 = a.leading_index + b.leading_index + (a.branch_exponent.real + b.branch_exponent.real >= 1.0)
+    exponent = order_sum - n0
+    while exponent.real < 0.0:
+        n0 -= 1
+        exponent = order_sum - n0
+    while exponent.real >= 1.0:
+        n0 += 1
+        exponent = order_sum - n0
+    return (exponent, n0) if 0.0 <= exponent.real < 1.0 else None
+
+
+def test_order_split_keeps_a_tiny_negative_total_order_normal():
+    # order sum -2**-55: the total order + 1 rounds to 1.0, so floor(order) = -1 leaves Re A = 1
+    product = expansion_multiply(LocalExpansion(0.75 * 2**-53, 0, (1,)), LocalExpansion(1 - 2**-53, -1, (1,)))
+    assert (product.branch_exponent, product.leading_index) == (0, 0)
+    e = normalize_expansion(-2.78e-17 + 0.5j, 0, (1,))
+    assert (e.branch_exponent, e.leading_index) == (0.5j, 0)
+    e = normalize_expansion(-2**-53, 0, (1,))  # one ulp further: the split is exact again
+    assert (e.branch_exponent, e.leading_index) == (1 - 2**-53, -1)
+
+
+def test_order_split_equals_the_carry_search_wherever_that_is_normal():
+    rng = random.Random(29)
+    exponents = (
+        lambda: rng.randrange(1 << 12) / (1 << 12),  # dyadic
+        lambda: 1.0 - rng.randrange(1, 1 << 8) * 2.0**-52,  # just below 1
+        lambda: rng.randrange(1 << 8) * 2.0**-rng.randint(50, 60),  # tiny
+        lambda: rng.random(),
+    )
+    for _ in range(20000):
+        a, b = (
+            LocalExpansion(complex(rng.choice(exponents)(), rng.uniform(-1, 1)), rng.randint(-3, 3), (1,))
+            for _ in range(2)
+        )
+        expected = _loop_split(a, b)
+        if expected is None:
+            continue
+        product = expansion_multiply(a, b)
+        assert (product.branch_exponent, product.leading_index) == expected
+
+
 def test_multiplicator_examples():
     mc = MarkedCurve(Sphere(), [0.0, 1.0])
     half = ComplexDivisor(mc, marked={0: GaussianRational(Fraction(1, 2)), 1: GaussianRational(Fraction(1, 2))})
