@@ -27,12 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    DegreeZeroRequiredError,
-    DiagonalSingularityError,
-    DomainError,
-    TrivialJacobianError,
-)
+from .errors import DegreeZeroRequiredError, DiagonalSingularityError, DomainError, TrivialJacobianError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .divisor import ComplexDivisor
@@ -136,6 +131,10 @@ class CurveModel:
         """``point_distance(P_i, Q_j)`` for two CurvePoint sequences, equal to it bit for bit."""
         raise NotImplementedError
 
+    def _log_factors(self, differences: np.ndarray) -> np.ndarray:
+        """log of the prime factor, w or theta1(w), at each entry w of a 1-D complex array, on some branch."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Sphere(CurveModel):
@@ -172,6 +171,9 @@ class Sphere(CurveModel):
 
     def _kernel_values(self, differences: np.ndarray) -> list[float]:
         return [math.log(abs(w)) for w in differences.tolist()]
+
+    def _log_factors(self, differences: np.ndarray) -> np.ndarray:
+        return np.log(differences)
 
 
 @dataclass(frozen=True)
@@ -297,32 +299,37 @@ class Torus(CurveModel):
         z.imag = np.where(odd, -zi, zi)
         return z, n, m, odd
 
-    def _kernel_values(self, differences: np.ndarray) -> list[float]:
-        """g_tau(w) = g_tau'(s*w) + C, C = -1/2 sum log|tau_k|, for each difference w = P - Q.
+    def _series(self, powers) -> list[complex]:
+        """The theta1 Fourier sum S(z') = sum_k a_k p^k (x^(2k+1) - 1) for each (x, p) of ``powers``.
 
-        The kernel of the reduced modulus is even and doubly periodic, so it is
-        taken at the centred point z' of s*w (``_centred``, one array pass over all
-        differences), 0 <= Im z' <= Im tau'/2, from the Fourier series
-            theta1(z' | tau') = -i q^(1/4) exp(-i pi z') sum_k a_k p^k (x^(2k+1) - 1),
-            g_tau'(z') = log|sum_k a_k p^k (x^(2k+1) - 1)| + pi Im z' (1 - Im z'/Im tau') - pi Im tau'/4,
-        x = exp(2 pi i z') and p = exp(i pi (tau' - 2 z')), both of modulus <= 1, so no term
-        over- or underflows at any Im tau.  The sum is (x - 1) + x A(q x) - A(p), with
-        A(t) = sum_(k>=1) a_k t^k in Horner form, since p^k x^(2k+1) = x (q x)^k; it stays
-        a scalar loop per entry.
+        x = exp(2 pi i z') and p = exp(i pi (tau' - 2 z')) at a centred point z' (``_centred``)
+        have modulus <= 1, so no term over- or underflows at any Im tau.  S = (x - 1) +
+        (x A(q x) - A(p)) with A(t) = sum_(k>=1) a_k t^k in Horner form, since p^k x^(2k+1) = x (q x)^k.
         """
-        tau, nome, fourier, constant = self._reduced_tau, self._nome, self._fourier, self._kernel_constant
-        height, exp, log, pi, two_pi_i, pi_i_tau = tau.imag, cmath.exp, math.log, math.pi, 2j * math.pi, 1j * math.pi * tau
-        values = []
-        for z in self._centred(differences)[0].tolist():
-            phase = two_pi_i * z
-            x, p = exp(phase), exp(pi_i_tau - phase)
+        nome, fourier = self._nome, self._fourier
+        sums = []
+        for x, p in powers:
             u, high, low = nome * x, 0j, 0j
             for a, _ in fourier:
                 high = (high + a) * u
                 low = (low + a) * p
-            im = z.imag
-            values.append(log(abs((x - 1.0) + (x * high - low))) + pi * im * (1.0 - im / height) + constant)
-        return values
+            sums.append((x - 1.0) + (x * high - low))
+        return sums
+
+    def _kernel_values(self, differences: np.ndarray) -> list[float]:
+        """g_tau(w) = g_tau'(s*w) + C, C = -1/2 sum log|tau_k|, for each difference w = P - Q.
+
+        The kernel of the reduced modulus is even and doubly periodic, so it is taken at the
+        centred point z' of s*w (``_centred``, one array pass), 0 <= Im z' <= Im tau'/2:
+            g_tau'(z') = log|S(z')| + pi Im z' (1 - Im z'/Im tau') - pi Im tau'/4,
+        as theta1(z' | tau') = -i q^(1/4) exp(-i pi z') S(z'), S the sum of ``_series``.
+        """
+        height, constant, log, pi = self._reduced_tau.imag, self._kernel_constant, math.log, math.pi
+        exp, two_pi_i, pi_i_tau = cmath.exp, 2j * math.pi, 1j * math.pi * self._reduced_tau
+        centred = self._centred(differences)[0]
+        phases = [two_pi_i * z for z in centred.tolist()]
+        sums = self._series(zip(map(exp, phases), map(exp, [pi_i_tau - phase for phase in phases])))
+        return [log(abs(s)) + pi * im * (1.0 - im / height) + constant for im, s in zip(centred.imag.tolist(), sums)]
 
     def _log_derivative_sum(self, nodes: np.ndarray, items) -> np.ndarray:
         """sum_P n_P (theta1'/theta1)(z - P | tau') at each node z, over (P, n_P) items, all in reduced coordinates.
@@ -332,7 +339,7 @@ class Torus(CurveModel):
         the Fourier series there,
             (theta1'/theta1)(z') = -i pi + 2 pi i sum_k a_k p^k ((k + 1) x^(2k+1) + k) / sum_k a_k p^k (x^(2k+1) - 1)
                                  = i pi sum_k (2k + 1) a_k p^k (x^(2k+1) + 1) / sum_k a_k p^k (x^(2k+1) - 1),
-        one division per support point, both sums in the Horner form of ``_kernel_values``,
+        one division per support point, both sums in the Horner form of ``_series``,
         summed over the support in item order for each node.  Returns one sum per node.
         """
         nome, fourier, exp, two_pi_i = self._nome, self._fourier, cmath.exp, 2j * math.pi
@@ -358,30 +365,30 @@ class Torus(CurveModel):
             sums.append(1j * math.pi * total)
         return np.array(sums, dtype=complex)
 
-    def _theta1(self, w: complex) -> complex:
-        """theta1(w | tau) = exp(c + a w^2) theta1(s w | tau') (``_reduce_modulus``).
+    def _theta1_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(L, S) with theta1(w | tau) = exp(L) S at each entry of the 1-D complex array w.
 
-        With s w = (-1)^odd z' + m + n tau' from ``_centred`` (a 1-element call),
+        theta1(w | tau) = exp(c + a w^2) theta1(s w | tau') (``_reduce_modulus``) and, with
+        s w = (-1)^odd z' + m + n tau' from one ``_centred`` pass and S the sum of ``_series``,
             theta1(s w) = (-1)^(m + n + odd) exp(-i pi n (n tau' + 2 (-1)^odd z')) theta1(z'),
-            theta1(z') = -i exp(i pi tau'/4 - i pi z') sum_k a_k p^k (x^(2k+1) - 1),
-        by theta1(z + 1) = -theta1(z), theta1(z + tau) = -exp(-i pi tau - 2 pi i z) theta1(z) and oddness.
-        DomainError where the scale exp(...) leaves the float range.
+            theta1(z') = -i exp(i pi tau'/4 - i pi z') S(z'),
+        by theta1(z + 1) = -theta1(z), theta1(z + tau) = -exp(-i pi tau - 2 pi i z) theta1(z), oddness.
         """
-        tau, pi_i = self._reduced_tau, 1j * math.pi
-        z, n, m, odd = (part.item() for part in self._centred(np.array([w])))
-        x, p = cmath.exp(2.0 * pi_i * z), cmath.exp(pi_i * (tau - 2.0 * z))
-        u, high, low = self._nome * x, 0j, 0j
-        for a, _ in self._fourier:
-            high = (high + a) * u
-            low = (low + a) * p
-        log_scale = self._log_constant + 0.5 * self._slope * w * w + pi_i * (m + n + odd - 0.5 + 0.25 * tau - z)
-        if n:
-            log_scale -= pi_i * n * (n * tau + 2.0 * (-z if odd else z))
-        try:
-            scale = cmath.exp(log_scale)
-        except OverflowError:
-            raise DomainError("theta1 outside the float range") from None
-        return scale * ((x - 1.0) + (x * high - low))
+        tau, pi_i, log_constant, half_slope = self._reduced_tau, 1j * math.pi, self._log_constant, 0.5 * self._slope
+        centred, shifts, offsets, flips = (part.tolist() for part in self._centred(w))
+        scales = []
+        for v, z, n, m, odd in zip(w.tolist(), centred, shifts, offsets, flips):
+            log_scale = log_constant + half_slope * v * v + pi_i * (m + n + odd - 0.5 + 0.25 * tau - z)
+            if n:
+                log_scale -= pi_i * n * (n * tau + 2.0 * (-z if odd else z))
+            scales.append(log_scale)
+        sums = self._series((cmath.exp(2.0 * pi_i * z), cmath.exp(pi_i * (tau - 2.0 * z))) for z in centred)
+        return np.array(scales, dtype=complex), np.array(sums, dtype=complex)
+
+    def _log_factors(self, differences: np.ndarray) -> np.ndarray:
+        """log theta1(w | tau) = L + log S (``_theta1_parts``), finite wherever S is nonzero."""
+        scales, sums = self._theta1_parts(differences)
+        return scales + np.log(sums)
 
 
 def _require_upper_half(tau: complex) -> complex:
@@ -430,10 +437,20 @@ def theta1(z: complex, tau: complex) -> complex:
 
     theta1(z) = 2 sum_{k>=0} (-1)^k exp(i*pi*tau*(k + 1/2)^2) sin((2k + 1) pi z), evaluated
     after SL2(Z) reduction as this Fourier series on the reduced modulus, at most four
-    terms, with the tables of ``Torus(tau)`` (``Torus._theta1``).  DomainError where
-    |theta1| leaves the float range, as far off the real axis of a thin torus.
+    terms, with the tables of ``Torus(tau)``: exp(L) S from ``Torus._theta1_parts``.
+    DomainError where |theta1| leaves the float range, as far off the real axis of a
+    thin torus; its logarithm L + log S stays finite there.
     """
-    return Torus(tau)._theta1(complex(z))
+    scale, series = Torus(tau)._theta1_parts(np.array([complex(z)]))
+    return _exp_in_range(scale.item(), "theta1") * series.item()
+
+
+def _exp_in_range(log_value: complex, what: str) -> complex:
+    """cmath.exp(log_value); DomainError, naming ``what``, where it leaves the float range."""
+    try:
+        return cmath.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"{what} outside the float range") from None
 
 
 def theta1_log_derivative(z: complex, tau: complex) -> complex:
@@ -513,9 +530,7 @@ def green_divisor(curve: CurveModel, d: "ComplexDivisor", z) -> complex:
         raise DegreeZeroRequiredError()
     zp = as_point(z)
     if zp.at_infinity:
-        raise DomainError(
-            "kernel undefined at infinity; evaluate at an affine point"
-        )
+        raise DomainError("kernel undefined at infinity; evaluate at an affine point")
     items = d.support_items()
     kernel, distance, _ = kernel_matrix(curve, [zp], [point for point, _ in items])
     if (distance < curve.point_tol).any():
@@ -532,7 +547,4 @@ def abel_jacobi_sum(curve: CurveModel, d: "ComplexDivisor") -> complex:
     """
     if not isinstance(curve, Torus):
         raise TrivialJacobianError()
-    total = 0j
-    for point, coeff in d.support_items():
-        total += coeff * point.z
-    return total
+    return sum((coeff * point.z for point, coeff in d.support_items()), 0j)

@@ -27,14 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveModel, CurvePoint, Sphere, Torus, as_point, kernel_matrix
+from .curve import CurveModel, CurvePoint, Sphere, Torus, _exp_in_range, as_point, kernel_matrix
 from .divisor import JACOBI_LATTICE_TOL, ComplexDivisor, GaussianRational, MarkedCurve, _integral_part
-from .errors import (
-    ContextMismatchError,
-    DegreeZeroRequiredError,
-    DisjointSupportError,
-    DomainError,
-)
+from .errors import ContextMismatchError, DegreeZeroRequiredError, DisjointSupportError, DomainError
 
 DISJOINT_TOL = 1e-7
 FORMULAS = ("ad", "adsym", "ad3")
@@ -71,9 +66,7 @@ class RationalFunctionData:
         constant = complex(leading_constant)
         if constant == 0:
             raise DomainError("leading constant must be nonzero")
-        items = (
-            zeros_poles.items() if hasattr(zeros_poles, "items") else zeros_poles
-        )
+        items = zeros_poles.items() if hasattr(zeros_poles, "items") else zeros_poles
         merged: list[tuple[CurvePoint, int]] = []
         for raw_point, mult in items:
             point = as_point(raw_point)
@@ -81,25 +74,18 @@ class RationalFunctionData:
             if mult == 0:
                 continue
             if point.at_infinity:
-                raise DomainError(
-                    "the multiplicity at infinity is implicit on the sphere"
-                )
+                raise DomainError("the multiplicity at infinity is implicit on the sphere")
             curve.add_at(merged, point, mult)
         merged = _integral_part(merged)
 
         winding = 0
         if isinstance(curve, Torus):
             if sum(m for _, m in merged) != 0:
-                raise DomainError(
-                    "an elliptic function needs as many zeros as poles"
-                )
+                raise DomainError("an elliptic function needs as many zeros as poles")
             weighted = sum((m * p.z for p, m in merged), 0j)
             if not curve.lattice_defect(weighted) < JACOBI_LATTICE_TOL:
-                raise DomainError(
-                    "zeros and poles must have a lattice-point coordinate sum"
-                )
-            _, b = curve.lattice_coords(weighted)
-            winding = round(b)
+                raise DomainError("zeros and poles must have a lattice-point coordinate sum")
+            winding = round(curve.lattice_coords(weighted)[1])
 
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "zeros_poles", merged)
@@ -133,59 +119,61 @@ class RationalFunctionData:
         return ComplexDivisor(mc, integral=self.divisor_points())
 
     def __call__(self, point) -> complex:
-        point = as_point(point)
-        if point.at_infinity:
-            if not isinstance(self.curve, Sphere):
-                raise DomainError("the torus has no point at infinity")
-            if self.multiplicity_sum() != 0:
-                raise DomainError(
-                    "function has a zero or pole at infinity; value undefined"
-                )
-            return self.leading_constant
-        value = self.leading_constant
-        if isinstance(self.curve, Torus):
-            if self._tau_winding:
-                value *= cmath.exp(-2j * math.pi * self._tau_winding * point.z)
-            for p, m in self.zeros_poles:
-                value *= self.curve._theta1(point.z - p.z) ** m
-        else:
-            for p, m in self.zeros_poles:
-                value *= (point.z - p.z) ** m
-        return value
+        """f(P): 0 where P coincides with a zero, DomainError at a pole or beyond the float range."""
+        return _exp_in_range(self._log_values([self.curve.reduce_point(point)])[0], "f(P)")
+
+    def _log_values(self, points: list[CurvePoint], clearance: float | None = None) -> np.ndarray:
+        """log f(P_i) = log C - 2 pi i n P_i + sum_j m_j F(P_i - Q_j) on some branch, one matrix over
+        the points x ``divisor_points`` with the curve's log factor F (``_log_factors``), n = 0 on
+        the sphere, whose infinity enters no sum (``kernel_matrix``'s mask).  -inf where P_i
+        coincides with a zero (``points_equal``), DomainError at a pole; DisjointSupportError
+        where P_i lies within ``clearance`` of either."""
+        curve, divisor = self.curve, self.divisor_points()
+        distance = curve._distance_matrix(points, [q for q, _ in divisor])
+        if clearance is not None and (distance <= clearance).any():
+            raise DisjointSupportError()
+        mults = np.array([m for _, m in divisor], dtype=float)
+        order = (distance < curve.point_tol) @ mults
+        if (order < 0).any():
+            raise DomainError("function has a pole at the point; value undefined")
+        z = np.array([p.z for p in points], dtype=complex)
+        defined = (distance >= curve.point_tol) & (distance < math.inf)
+        factors = np.zeros(distance.shape, dtype=complex)
+        factors[defined] = curve._log_factors((z[:, None] - np.array([q.z for q, _ in divisor]))[defined])
+        values = cmath.log(self.leading_constant) - 2j * math.pi * self._tau_winding * z + factors @ mults
+        values[order > 0] = -math.inf
+        return values
 
 
-def weil_symbol(f: RationalFunctionData, d: ComplexDivisor) -> complex:
-    """prod_P f(P)^(n_P) over the support of an integral divisor d.
-
-    Computed as exp(sum n_P * log f(P)); the exponents are integers, so
-    the branch of each logarithm is immaterial.
-    """
+def _log_weil_symbol(f: RationalFunctionData, d: ComplexDivisor) -> complex:
+    """sum_P n_P log f(P) over the support of an integral divisor d (``_log_values``); its
+    exponents are integers, so the branches of the logs move it by multiples of 2 pi i."""
     if f.curve != d.mc.curve:
         raise ContextMismatchError("function and divisor live on different curves")
     if not d.has_integer_coefficients():
         raise DomainError("weil_symbol requires an integral divisor")
     support = d.support_items()
-    distance = d.mc.curve._distance_matrix([p for p, _ in f.divisor_points()], [q for q, _ in support])
-    if (distance <= DISJOINT_TOL).any():
-        raise DisjointSupportError()
-    exponent = 0j
-    for point, coeff in support:
-        value = f(point)
-        if value == 0 or cmath.isinf(value) or cmath.isnan(value):
-            raise DisjointSupportError()
-        exponent += coeff * cmath.log(value)
-    return cmath.exp(exponent)
+    return complex(_coefficients(support) @ f._log_values([q for q, _ in support], clearance=DISJOINT_TOL))
 
 
-def check_weil_reciprocity(
-    f: RationalFunctionData, g: RationalFunctionData, mc: MarkedCurve | None = None
-) -> float:
-    """|f(div g) / g(div f) - 1|; below 1e-9 for a passing pair."""
-    if mc is None:
-        mc = MarkedCurve(f.curve)
-    symbol_fg = weil_symbol(f, g.divisor(mc))
-    symbol_gf = weil_symbol(g, f.divisor(mc))
-    return abs(symbol_fg / symbol_gf - 1.0)
+def weil_symbol(f: RationalFunctionData, d: ComplexDivisor) -> complex:
+    """prod_P f(P)^(n_P) over the support of an integral divisor d: the exponential of
+    ``_log_weil_symbol``, DomainError where it leaves the float range."""
+    return _exp_in_range(_log_weil_symbol(f, d), "the Weil symbol")
+
+
+def check_weil_reciprocity(f: RationalFunctionData, g: RationalFunctionData, mc: MarkedCurve | None = None) -> float:
+    """|f(div g) / g(div f) - 1|; below 1e-9 for a passing pair.
+
+    |expm1(delta)| of the log symbols' difference delta, its imaginary part reduced mod
+    2 pi: defined where either symbol leaves the float range, inf where the ratio does.
+    """
+    delta = _log_weil_symbol(f, g.divisor(mc)) - _log_weil_symbol(g, f.divisor(mc))
+    angle = math.remainder(delta.imag, 2.0 * math.pi)
+    try:  # |e^delta - 1|^2 = expm1(Re delta)^2 + 4 e^(Re delta) sin^2(angle / 2), free of cancellation
+        return math.hypot(math.expm1(delta.real), 2.0 * math.exp(0.5 * delta.real) * math.sin(0.5 * angle))
+    except OverflowError:
+        return math.inf
 
 
 def _exp(exponent: float) -> float:
@@ -242,9 +230,7 @@ def _pairing_matrix(
     if d1.degree() != 0 or d2.degree() != 0:
         raise DegreeZeroRequiredError()
     items1, items2 = d1.support_items(), d2.support_items()
-    kernel, distance, defined = kernel_matrix(
-        mc.curve, [p for p, _ in items1], [q for q, _ in items2]
-    )
+    kernel, distance, defined = kernel_matrix(mc.curve, [p for p, _ in items1], [q for q, _ in items2])
     if (distance <= DISJOINT_TOL).any():
         raise DisjointSupportError()
     return _coefficients(items1), _coefficients(items2), kernel + shift * defined

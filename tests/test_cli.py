@@ -102,6 +102,18 @@ def test_reciprocity_command(capsys):
     assert json.loads(out)["outputs"]["residual"] < 1e-12
 
 
+@pytest.mark.parametrize("tau", ["500i", "1000i"])
+def test_reciprocity_on_a_tall_torus_passes(capsys, tau):
+    # |theta1| underflows to 0 here, so the symbols are compared in log form
+    code, out, _ = run(
+        capsys,
+        "reciprocity", "--curve", "torus", "--tau", tau,
+        "--f", "zeros:0.1,0.3;poles:0.2,0.2", "--g", "zeros:0.6,0.9;poles:0.7,0.8",
+    )
+    assert code == EXIT_PASS
+    assert '"status":"pass"' in out
+
+
 def test_class_command(capsys):
     code, out, _ = run(
         capsys,

@@ -108,6 +108,45 @@ def test_weil_reciprocity_torus_with_double_zero():
     assert check_weil_reciprocity(f, g, MarkedCurve(t)) < 1e-9
 
 
+@pytest.mark.parametrize("real", [0.0, 0.3])
+def test_weil_reciprocity_across_the_height_of_tau(real):
+    # Im tau log-spaced over [1e-3, 1e3]; at the top, theta1 at these points leaves the float range
+    f_zeros, f_poles = [(0.1, 0.2), (0.35, 0.6)], [(0.2, 0.5), (0.25, 0.3)]
+    g_zeros, g_poles = [(0.6, 0.1), (0.9, 0.7)], [(0.7, 0.4), (0.8, 0.4)]
+    for k in range(13):
+        t = Torus(complex(real, 10 ** (-3 + k / 2)))
+        point = lambda ab: t.from_lattice_coords(*ab)
+        f = RationalFunctionData.from_zeros_poles(t, map(point, f_zeros), map(point, f_poles))
+        g = RationalFunctionData.from_zeros_poles(t, map(point, g_zeros), map(point, g_poles))
+        assert check_weil_reciprocity(f, g, MarkedCurve(t)) < 1e-9, t.tau
+
+
+def test_function_value_is_zero_at_a_zero_and_undefined_at_a_pole():
+    s = Sphere()
+    f = RationalFunctionData.from_zeros_poles(s, [0], [2])
+    assert f(0) == 0
+    with pytest.raises(DomainError):
+        f(2)
+    t = Torus(1j)
+    g = RationalFunctionData.from_zeros_poles(t, [0.1, 0.3], [0.2, 0.2])
+    for zero in (0.1, 1.1 + 1j):
+        assert g(zero) == 0
+    for pole in (0.2, 1.2):
+        with pytest.raises(DomainError):
+            g(pole)
+    assert abs(g(0.5) - g(1.5 - 2j)) < 1e-12 * abs(g(0.5))
+
+
+def test_weil_symbol_beyond_the_float_range_is_a_domain_error():
+    s = Sphere()
+    f = RationalFunctionData(s, [(0, 1), (1, -1)])  # z / (z - 1)
+    g = RationalFunctionData(s, [(1 + 1e-6, 400), (0.5, -400)])
+    with pytest.raises(DomainError, match="float range"):
+        weil_symbol(f, g.divisor())
+    # both symbols are near 1e2400; their logs still compare
+    assert check_weil_reciprocity(f, g) < 1e-9
+
+
 def test_pairing_exponent_matches_norm():
     from divpair import pairing_exponent
 
