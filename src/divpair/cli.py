@@ -35,8 +35,8 @@ from .pairing import (
     RationalFunctionData,
     check_weil_reciprocity,
     pairing_norm,
+    tolerance_scale,
 )
-from .selftest import DEFAULT_CASES, DEFAULT_SEED, run_selftest, tolerance_scale
 from .strings import MomentumConfig, string_pairing_factor
 
 EXIT_PASS = 0
@@ -253,7 +253,10 @@ def _cmd_class(args) -> int:
         "degree": descriptor.degree,
         "principal": certificate.principal,
     }
+    metadata = {"lattice_tol": JACOBI_LATTICE_TOL, "period_tol": PERIOD_TOL}
     if descriptor.jacobian is not None:
+        metadata["quadrature_nodes"] = certificate.quadrature_nodes
+        metadata["quadrature_error"] = certificate.quadrature_error
         outputs["jacobian_mod_lattice"] = descriptor.jacobian
         outputs["jacobi_defect"] = certificate.jacobi_defect
         outputs["monodromy"] = {
@@ -268,7 +271,7 @@ def _cmd_class(args) -> int:
             "class",
             inputs,
             outputs,
-            {"lattice_tol": JACOBI_LATTICE_TOL, "period_tol": PERIOD_TOL},
+            metadata,
             "pass",
         ),
         args.format,
@@ -340,7 +343,9 @@ def _cmd_string_factor(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    report = run_selftest(seed=args.seed, cases=args.cases)
+    from .selftest import run_selftest  # only this command loads the suite
+
+    report = run_selftest(**{name: getattr(args, name) for name in ("seed", "cases") if hasattr(args, name)})
     rows = [
         {
             "name": r.name,
@@ -434,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     factor.set_defaults(handler=_cmd_string_factor)
 
     selftest = commands.add_parser("selftest", help="run the full property suite")
-    selftest.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    selftest.add_argument("--cases", type=int, default=DEFAULT_CASES)
+    selftest.add_argument("--seed", type=lambda s: int(s, 0), default=argparse.SUPPRESS)
+    selftest.add_argument("--cases", type=int, default=argparse.SUPPRESS)
     selftest.set_defaults(handler=_cmd_selftest)
 
     return parser

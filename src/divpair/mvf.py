@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,9 +160,7 @@ class GlueingData:
 
 def glueing_data(mc: MarkedCurve, d: ComplexDivisor) -> GlueingData:
     values = tuple(multiplicator(mc, d, i) for i in range(mc.n_marks))
-    product = 1.0 + 0j
-    for value in values:
-        product *= value
+    product = math.prod(values, start=1.0 + 0j)
     re_num, im_num, den = d.marked_degree().triple
     expected = cmath.exp(complex(-2.0 * math.pi * (im_num / den), 2.0 * math.pi * (re_num / den)))
     return GlueingData(
@@ -181,7 +180,8 @@ class PrincipalityCertificate:
 
     On the torus the certificate carries the corrected cycle periods of
     the associated third-kind differential; both lie in 2*pi*i*Z (within
-    PERIOD_TOL) exactly for principal divisors.
+    PERIOD_TOL) exactly for principal divisors, with the integrand nodes spent
+    on both cycles and the larger trapezoid error estimate |T_N - T_{N/2}|.
     """
 
     principal: bool
@@ -192,49 +192,38 @@ class PrincipalityCertificate:
     correction: complex | None = None
     period_defect: float | None = None
     periods_integral: bool | None = None
+    quadrature_nodes: int | None = None
+    quadrature_error: float | None = None
 
     def __bool__(self) -> bool:
         return self.principal
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # a quadrature panel spans at most this many distances to the nearest pole
 _PANEL_RATIO = 4.0
 _MAX_PANELS = 4096
+_STEPS_PER_PANEL = 32
 
 
-def _gauss_nodes(order_: int) -> tuple[np.ndarray, np.ndarray]:
-    if order_ not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order_)
-        _GL_CACHE[order_] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[order_]
+def _trapezoid(f, start: complex, direction: complex, steps: int) -> tuple[complex, float]:
+    """Integral of f along start + t*direction, t in [0, 1], and the estimate |T_steps - T_steps/2|.
 
-
-def _segment_integral(f, z_start: complex, direction: complex, panels: int, order_: int) -> complex:
-    """Integral of f along the straight segment z_start + t*direction, t in [0,1].
-
-    Composite Gauss-Legendre rule: f takes the complex array of all panels x order_
-    node positions and returns the array of its values, so it is called once per
-    segment.  Each position z_start + t*direction and the weighted sum are rounded
-    as Python's scalar complex arithmetic rounds them, node by node in panel order.
+    Trapezoid rule on `steps` (even) equal steps, f called once on all steps + 1 nodes; T_steps/2
+    uses every other node.  Along a cycle the integrand repeats up to a constant jump, which the
+    half-weight endpoints integrate exactly, so the rule converges geometrically.
     """
-    nodes, weights = _gauss_nodes(order_)
-    width = 1.0 / panels
-    t = (np.arange(panels)[:, None] * width + width * nodes).ravel()
-    # float * complex, written out as Python's complex ``*`` computes it
-    positions = np.empty(t.shape, dtype=complex)
-    positions.real = z_start.real + (t * direction.real - 0.0 * direction.imag)
-    positions.imag = z_start.imag + (t * direction.imag + 0.0 * direction.real)
-    total = 0j
-    for w, value in zip(weights.tolist() * panels, f(positions).tolist()):
-        total += w * value
-    return total * (width * direction)
+    values = f(start + np.linspace(0.0, 1.0, steps + 1) * direction)
+    ends = 0.5 * (values[0] + values[-1])
+    fine = (values.sum() - ends) * (direction / steps)
+    coarse = (values[::2].sum() - ends) * (2.0 * direction / steps)
+    return complex(fine), abs(complex(fine - coarse))
 
 
 def _panel_count(clearance: float, length_over_distance: float) -> int:
-    """Gauss-Legendre panels along one contour: 24, 48 or 96 by the clearance, and more
-    where the contour is long against its distance to the nearest pole (a skewed tau),
-    so that no panel spans more than _PANEL_RATIO such distances; at most _MAX_PANELS."""
+    """Quadrature panels along one contour: 24, 48 or 96 by the clearance, and more where
+    the contour is long against its distance to the nearest pole (a skewed tau), so that
+    no panel spans more than _PANEL_RATIO such distances; at most _MAX_PANELS.  The
+    trapezoid rule takes _STEPS_PER_PANEL steps per panel."""
     panels = 24 if clearance >= 0.05 else 48 if clearance >= 0.02 else 96
     return min(max(panels, math.ceil(length_over_distance / _PANEL_RATIO)), _MAX_PANELS)
 
@@ -261,16 +250,26 @@ def _circular_gap(offset: float, values: list[float]) -> float:
     return best
 
 
-def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> tuple[complex, complex, float]:
+class _CyclePeriods(NamedTuple):
+    a: complex
+    b: complex
+    clearance: float
+    nodes: int  # integrand nodes over both contours
+    a_error: float  # |T_N - T_{N/2}| on each contour
+    b_error: float
+
+
+def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> _CyclePeriods:
     """Raw periods of sum_P n_P (theta1'/theta1)(z - P) dz along both cycles.
 
     Each contour runs through the seam gap of the support coordinates
     (between the largest coordinate and the smallest plus one), so all
-    support points sit in a single period strip of each contour; returns
-    (a_period, b_period, clearance).  The integrand is evaluated on the
-    torus's reduced modulus: with (theta1'/theta1)(w | tau) =
-    s (theta1'/theta1)(s*w | tau') + beta*w, each segment is integrated in
-    the coordinate s*z and the linear part is added in closed form.
+    support points sit in a single period strip of each contour.  The
+    integrand is evaluated on the torus's reduced modulus: with
+    (theta1'/theta1)(w | tau) = s (theta1'/theta1)(s*w | tau') + beta*w, each
+    contour is integrated in the coordinate s*z by the trapezoid rule on
+    _STEPS_PER_PANEL * _panel_count steps, and the linear part is added in
+    closed form.
     """
     tau = torus.tau
     coords = [torus.lattice_coords(point.z) for point, _ in items]
@@ -288,17 +287,18 @@ def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> tup
     def integrand(nodes: np.ndarray) -> np.ndarray:
         return torus._log_derivative_sum(nodes, scaled)
 
-    def period(start: complex, direction: complex, length_over_distance: float) -> complex:
+    def period(start: complex, direction: complex, length_over_distance: float) -> tuple[complex, float, int]:
         # sum_P n_P * beta * (integral of (z - P) dz along the segment)
         linear = slope * direction * (weight * (start + 0.5 * direction) - moment)
-        panels = _panel_count(clearance, length_over_distance)
-        return _segment_integral(integrand, scale * start, scale * direction, panels, 32) + linear
+        n = _STEPS_PER_PANEL * _panel_count(clearance, length_over_distance)
+        value, error = _trapezoid(integrand, scale * start, scale * direction, n)
+        return value + linear, error, n + 1
 
     # the a-contour (length 1) passes the poles at gap_b * Im tau, the b-contour
     # (length |tau|) at gap_a * Im tau / |tau|
-    a_period = period(torus.from_lattice_coords(0.0, b0), 1.0 + 0j, 1.0 / (gap_b * tau.imag))
-    b_period = period(torus.from_lattice_coords(a0, 0.0), tau, abs(tau) ** 2 / (gap_a * tau.imag))
-    return a_period, b_period, clearance
+    a_period, a_error, a_nodes = period(torus.from_lattice_coords(0.0, b0), 1.0 + 0j, 1.0 / (gap_b * tau.imag))
+    b_period, b_error, b_nodes = period(torus.from_lattice_coords(a0, 0.0), tau, abs(tau) ** 2 / (gap_a * tau.imag))
+    return _CyclePeriods(a_period, b_period, clearance, a_nodes + b_nodes, a_error, b_error)
 
 
 def monodromy_certificate(mc: MarkedCurve, d: ComplexDivisor) -> PrincipalityCertificate:
@@ -326,8 +326,11 @@ def monodromy_certificate(mc: MarkedCurve, d: ComplexDivisor) -> PrincipalityCer
             correction=0j,
             period_defect=0.0,
             periods_integral=True,
+            quadrature_nodes=0,
+            quadrature_error=0.0,
         )
-    a_raw, b_raw, _ = _cycle_periods(torus, items)
+    periods = _cycle_periods(torus, items)
+    a_raw, b_raw = periods.a, periods.b
     two_pi_i = 2j * math.pi
     nu = (b_raw - a_raw * torus.tau) / two_pi_i
     nu_b = nu.imag / torus.tau.imag
@@ -347,6 +350,8 @@ def monodromy_certificate(mc: MarkedCurve, d: ComplexDivisor) -> PrincipalityCer
         correction=correction,
         period_defect=b_defect,
         periods_integral=periods_ok,
+        quadrature_nodes=periods.nodes,
+        quadrature_error=max(periods.a_error, periods.b_error),
     )
 
 
@@ -378,9 +383,7 @@ def power_product_orders(
     exps = [GaussianRational.coerce(e) for e in exponents]
     if len(pts) != len(exps):
         raise DomainError("points and exponents must align")
-    total = GaussianRational(0)
-    for e in exps:
-        total = total + e
+    total = sum(exps, GaussianRational(0))
     out = list(zip(pts, exps))
     out.append((CurvePoint.infinity(), -total))
     return out

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,27 @@ __all__ = [
     "check_bimultiplicativity",
     "check_symmetry",
 ]
+
+
+def tolerance_scale() -> float:
+    """Multiplier applied to every pass threshold (DIVPAIR_TOL, default 1): the selftest's
+    and those of the CLI's pairing and reciprocity checks.
+
+    Read afresh on every call.  A value that is not a positive finite
+    number is rejected with a RuntimeWarning (shown on stderr) and 1 is
+    used instead.
+    """
+    raw = os.environ.get("DIVPAIR_TOL")
+    if raw is None:
+        return 1.0
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if 0 < value < math.inf:
+        return value
+    warnings.warn(f"ignoring DIVPAIR_TOL={raw!r}: not a positive finite number; using 1.0", RuntimeWarning)
+    return 1.0
 
 
 class RationalFunctionData:

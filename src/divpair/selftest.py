@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import random
 import time
-import warnings
 import zlib
 from dataclasses import dataclass
 
@@ -52,6 +50,7 @@ from .pairing import (
     hermitian_form,
     pairing_norm,
     self_pairing_exponent,
+    tolerance_scale,
 )
 from .strings import DIMENSION, MomentumConfig, momentum_divisor, string_pairing_factor
 
@@ -66,29 +65,6 @@ __all__ = [
     "run_selftest",
     "tolerance_scale",
 ]
-
-
-def tolerance_scale() -> float:
-    """Multiplier applied to every pass threshold (DIVPAIR_TOL, default 1).
-
-    Read afresh on every call.  A value that is not a positive finite
-    number is rejected with a RuntimeWarning (shown on stderr) and 1 is
-    used instead.
-    """
-    raw = os.environ.get("DIVPAIR_TOL")
-    if raw is None:
-        return 1.0
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if 0 < value < math.inf:
-        return value
-    warnings.warn(
-        f"ignoring DIVPAIR_TOL={raw!r}: not a positive finite number; using 1.0",
-        RuntimeWarning,
-    )
-    return 1.0
 
 
 @dataclass(frozen=True, slots=True)

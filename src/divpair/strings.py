@@ -67,15 +67,7 @@ class MomentumConfig:
 
     def apply_unitary(self, matrix) -> "MomentumConfig":
         """Rotate every vector by a 13x13 unitary (rows transform as p -> U p)."""
-        rotated = []
-        for row in self.momenta:
-            rotated.append(
-                tuple(
-                    sum(complex(matrix[r][c]) * row[c] for c in range(DIMENSION))
-                    for r in range(DIMENSION)
-                )
-            )
-        return MomentumConfig(rotated)
+        return MomentumConfig((np.array(self.momenta) @ np.asarray(matrix, dtype=complex).T).tolist())
 
 
 def momentum_divisor(mc: MarkedCurve, cfg: MomentumConfig, nu: int) -> ComplexDivisor:

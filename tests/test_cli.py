@@ -200,7 +200,15 @@ def test_class_report_states_the_applied_tolerances(capsys):
     )
     assert code == EXIT_PASS
     metadata = json.loads(out)["metadata"]
-    assert metadata == {"lattice_tol": JACOBI_LATTICE_TOL, "period_tol": PERIOD_TOL}
+    # the torus certificate also states its quadrature: 2 contours x (24 x 32 + 1) nodes
+    # and the trapezoid estimate |T_N - T_N/2|, which does not move between runs
+    error = metadata.pop("quadrature_error")
+    assert metadata == {"lattice_tol": JACOBI_LATTICE_TOL, "period_tol": PERIOD_TOL, "quadrature_nodes": 2 * 769}
+    assert 0 <= error < 1e-13
+    assert run(capsys, "class", "--curve", "torus", "--tau", "i", "--divisor", "1@0.25,-1@0.75")[1] == out
+    code, out, _ = run(capsys, "class", "--curve", "sphere", "--divisor", "1@0.25,-1@0.75")
+    assert code == EXIT_PASS
+    assert json.loads(out)["metadata"] == {"lattice_tol": JACOBI_LATTICE_TOL, "period_tol": PERIOD_TOL}
 
 
 def test_string_factor_command(tmp_path, capsys):
@@ -279,6 +287,23 @@ def test_invalid_tolerance_scale_goes_to_stderr_only():
     assert invalid.stdout == clean.stdout
     assert b"DIVPAIR_TOL='abc'" in invalid.stderr
     assert b"DIVPAIR_TOL" not in clean.stderr
+
+
+@pytest.mark.parametrize("request_argv", [
+    ["pairing", "--curve", "torus", "--tau", "0.2+1.1i", "--d1", "1@0.1+0.2i,-1@0.4+0.3i",
+     "--d2", "1@0.6+0.5i,-1@0.8+0.1i"],
+    ["class", "--curve", "torus", "--tau", "0.2+1.1i", "--divisor", "1@0.1+0.2i,-1@0.4+0.3i"],
+])
+def test_requests_load_neither_the_property_suite_nor_numpy_polynomial(request_argv):
+    # only `selftest` imports divpair.selftest, and the certificate's quadrature needs
+    # no numpy.polynomial
+    script = (
+        "import sys\nfrom divpair.cli import main\ncode = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in ('divpair.selftest', 'numpy.polynomial') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(divpair.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, *request_argv], env=env, capture_output=True, check=True)
+    assert done.stdout.decode().splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("request_argv", [

@@ -585,7 +585,7 @@ def test_kernel_matrix_evaluates_each_defined_entry_once(monkeypatch, curve):
 
 
 def test_monodromy_certificate_evaluates_each_contour_in_one_call(monkeypatch):
-    # one integrand call per contour, over all panels x 32 Gauss nodes of it
+    # one integrand call per contour, over all 32 x panels + 1 trapezoid nodes of it
     batches = []
     evaluate = Torus._log_derivative_sum
 
@@ -598,8 +598,9 @@ def test_monodromy_certificate_evaluates_each_contour_in_one_call(monkeypatch):
     mc = MarkedCurve(torus)
     p, q = torus.from_lattice_coords(0.2, 0.3), torus.from_lattice_coords(0.6, 0.7)
     # clearance 0.3 and short contours: 24 panels each
-    is_principal(mc, ComplexDivisor(mc, integral=[(p, 1), (q, -1)]))
-    assert batches == [24 * 32, 24 * 32]
+    cert = is_principal(mc, ComplexDivisor(mc, integral=[(p, 1), (q, -1)]))
+    assert batches == [24 * 32 + 1, 24 * 32 + 1]
+    assert cert.quadrature_nodes == sum(batches) and 0 <= cert.quadrature_error < 1e-13
 
 
 @pytest.mark.parametrize("tau", [0.3 + 1.1j, 2.3 + 0.2j, -7.1 + 0.004j, 0.45 + 0.05j, 0.2 + 30j])

@@ -257,14 +257,14 @@ def test_cycle_periods_off_the_fundamental_domain_match_the_unreduced_integrand(
     # the linear part of the log-derivative added in closed form; the same contour
     # integrated with theta1_log_derivative(z - P, tau) at every node must agree
     from divpair.curve import theta1_log_derivative
-    from divpair.mvf import _boundary_offset, _cycle_periods, _segment_integral
+    from divpair.mvf import _boundary_offset, _cycle_periods, _trapezoid
 
     t = Torus(tau)
     mc = MarkedCurve(t)
     p, r = t.from_lattice_coords(0.31, 0.22), t.from_lattice_coords(0.55, 0.13)
     for support in ([(p, 2), (r, -1), (2 * p - r, -1), (0.7 * tau, 1), (0, -1)], [(p, 1), (r, 1)]):
         items = ComplexDivisor(mc, integral=support).support_items()
-        a_period, b_period, clearance = _cycle_periods(t, items)
+        periods = _cycle_periods(t, items)
 
         def integrand(nodes, items=items):
             return np.array([
@@ -275,11 +275,12 @@ def test_cycle_periods_off_the_fundamental_domain_match_the_unreduced_integrand(
         coords = [t.lattice_coords(point.z) for point, _ in items]
         a0 = _boundary_offset([a % 1.0 for a, _ in coords])
         b0 = _boundary_offset([b % 1.0 for _, b in coords])
-        panels = 24 if clearance >= 0.05 else 48 if clearance >= 0.02 else 96
-        direct_a = _segment_integral(integrand, t.from_lattice_coords(0.0, b0), 1.0 + 0j, panels, 32)
-        direct_b = _segment_integral(integrand, t.from_lattice_coords(a0, 0.0), tau, panels, 32)
-        assert abs(a_period - direct_a) < 1e-9 * max(1.0, abs(direct_a))
-        assert abs(b_period - direct_b) < 1e-9 * max(1.0, abs(direct_b))
+        clearance = periods.clearance
+        steps = 32 * (24 if clearance >= 0.05 else 48 if clearance >= 0.02 else 96)
+        direct_a, _ = _trapezoid(integrand, t.from_lattice_coords(0.0, b0), 1.0 + 0j, steps)
+        direct_b, _ = _trapezoid(integrand, t.from_lattice_coords(a0, 0.0), tau, steps)
+        assert abs(periods.a - direct_a) < 1e-9 * max(1.0, abs(direct_a))
+        assert abs(periods.b - direct_b) < 1e-9 * max(1.0, abs(direct_b))
 
     principal = ComplexDivisor(mc, integral=[(p, 2), (r, -1), (2 * p - r, -1)])
     cert = is_principal(mc, principal)
@@ -291,33 +292,94 @@ def test_cycle_periods_off_the_fundamental_domain_match_the_unreduced_integrand(
 
 def test_panel_counts_on_the_fundamental_domain_follow_the_clearance(monkeypatch):
     # on |Re tau| <= 1/2, Im tau in [0.8, 1.6] (the selftest's and the benchmark's moduli)
-    # every contour keeps 24, 48 or 96 panels by the clearance, down to clearance 0.005
+    # every contour keeps 32 trapezoid steps on each of 24, 48 or 96 panels by the
+    # clearance, down to clearance 0.005
     import divpair.mvf as mvf
 
-    panels = []
-    integrate = mvf._segment_integral
+    steps = []
+    integrate = mvf._trapezoid
 
-    def recording(f, start, direction, count, order_):
-        panels.append(count)
-        return integrate(f, start, direction, count, order_)
+    def recording(f, start, direction, count):
+        steps.append(count)
+        return integrate(f, start, direction, count)
 
-    monkeypatch.setattr(mvf, "_segment_integral", recording)
+    monkeypatch.setattr(mvf, "_trapezoid", recording)
     rng = random.Random(89)
     checked = 0
     while checked < 40:
         t = Torus(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6)))
         coords = [(rng.random(), rng.random()) for _ in range(4)]
         items = [(CurvePoint(t.from_lattice_coords(a, b)), c) for (a, b), c in zip(coords, (1, -1, 2, -2))]
-        panels.clear()
-        _, _, clearance = mvf._cycle_periods(t, items)
-        if clearance < 0.005:
+        steps.clear()
+        periods = mvf._cycle_periods(t, items)
+        if periods.clearance < 0.005:
             continue
-        expected = 24 if clearance >= 0.05 else 48 if clearance >= 0.02 else 96
-        assert panels == [expected, expected]
+        expected = 32 * (24 if periods.clearance >= 0.05 else 48 if periods.clearance >= 0.02 else 96)
+        assert steps == [expected, expected]
+        assert periods.nodes == 2 * (expected + 1)
         checked += 1
 
 
+def lattice_distance(period, offset=0j):
+    """Distance of period / (2 pi i) from offset + Z."""
+    r = period / (2j * math.pi) - offset
+    return abs(r - round(r.real))
+
+
+def check_exact_lattices(t, items):
+    # with the support in one strip of each contour, quasi-periodicity puts the raw
+    # a-period in 2 pi i Z and the raw b-period in 2 pi i (sum_P n_P P + Z)
+    from divpair.mvf import _cycle_periods
+
+    periods = _cycle_periods(t, items)
+    moment = sum(coeff * point.z for point, coeff in items)
+    skew = abs(t.tau) / t.tau.imag
+    assert lattice_distance(periods.a) < 3e-15 * skew
+    assert lattice_distance(periods.b, moment) < 4e-15 * skew
+
+
+def test_raw_periods_lie_on_the_exact_lattices_on_the_fundamental_domain():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        t = Torus(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6)))
+        coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        coeffs.append(-sum(coeffs))
+        items = [(CurvePoint(t.from_lattice_coords(rng.random(), rng.random())), c) for c in coeffs if c]
+        if items:
+            check_exact_lattices(t, items)
+            checked += 1
+
+
+def test_trapezoid_estimate_bounds_the_a_period_error_at_low_clearance(monkeypatch):
+    # clearance 0.025: the a-period's distance from 2 pi i Z is the true error of the
+    # rule, and |T_n - T_n/2| must not understate it while the rule is still converging
+    import divpair.mvf as mvf
+
+    t = Torus(0.1 + 1.1j)
+    coords = zip((0.1, 0.45, 0.7, 0.3), (0.02, 0.5, 0.97, 0.3))
+    items = [(CurvePoint(t.from_lattice_coords(a, b)), c) for (a, b), c in zip(coords, (1, -1, 1, -1))]
+    monkeypatch.setattr(mvf, "_panel_count", lambda clearance, length_over_distance: 1)
+    for n in (16, 32, 64):
+        monkeypatch.setattr(mvf, "_STEPS_PER_PANEL", n)
+        periods = mvf._cycle_periods(t, items)
+        assert periods.clearance == pytest.approx(0.025)
+        error = 2 * math.pi * lattice_distance(periods.a)
+        assert 1e-6 < error <= periods.a_error
+        assert periods.nodes == 2 * (n + 1)
+
+
 SKEWED_TAUS = [2.7 + 0.05j, -3.4 + 0.08j, 1.5 + 0.02j, 5.0 + 0.2j, -0.3 + 0.001j, 0.45 + 0.2j]
+
+
+@pytest.mark.parametrize("tau", SKEWED_TAUS)
+def test_raw_periods_lie_on_the_exact_lattices_on_skewed_tori(tau):
+    rng = random.Random(11)
+    t = Torus(tau)
+    mc = MarkedCurve(t)
+    for _ in range(10):
+        p, q, r = (t.from_lattice_coords(rng.random(), rng.random()) for _ in range(3))
+        check_exact_lattices(t, ComplexDivisor(mc, integral=[(p, 1), (q, -2), (r, 1)]).support_items())
 
 
 @pytest.mark.parametrize("tau", SKEWED_TAUS)

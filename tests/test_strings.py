@@ -120,3 +120,15 @@ def test_factorization_against_pairing_module():
     for nu in range(DIMENSION):
         exponent += self_pairing_exponent(mc, momentum_divisor(mc, cfg, nu))
     assert abs(factor.factor - math.exp(exponent)) < 1e-10 * factor.factor
+
+
+def test_apply_unitary_matches_the_componentwise_sums():
+    rng = np.random.default_rng(5)
+    cfg = mercedes_config().apply_unitary(random_unitary(rng))
+    for _ in range(10):
+        u = random_unitary(rng)
+        rotated = cfg.apply_unitary(u)
+        for row, new in zip(cfg.momenta, rotated.momenta):
+            loop = [sum(complex(u[r][c]) * row[c] for c in range(DIMENSION)) for r in range(DIMENSION)]
+            # each vector has unit Hermitian norm, so this is relative to its norm
+            assert max(abs(a - b) for a, b in zip(new, loop)) <= 1e-15
