@@ -123,12 +123,13 @@ class CurveModel:
         """The bare kernel formula; callers exclude coincident and infinite pairs."""
         raise NotImplementedError
 
-    def _kernel_values(self, differences: np.ndarray) -> list[float]:
-        """The bare kernel at each entry of a complex array of differences P - Q, as a list."""
+    def _kernel_values(self, reduced: np.ndarray) -> list[float]:
+        """The bare kernel at each entry of a complex array of reduced differences (``_reduce_pairs``), as a list."""
         raise NotImplementedError
 
-    def _distance_matrix(self, left, right) -> np.ndarray:
-        """``point_distance(P_i, Q_j)`` for two CurvePoint sequences, equal to it bit for bit."""
+    def _reduce_pairs(self, left, right) -> tuple[np.ndarray, np.ndarray]:
+        """(distance, reduced) over every pair of two CurvePoint sequences, in one array pass: ``point_distance``
+        bit for bit, and P_i - Q_j in the form ``_kernel_values`` takes."""
         raise NotImplementedError
 
     def _log_factors(self, differences: np.ndarray) -> np.ndarray:
@@ -157,20 +158,22 @@ class Sphere(CurveModel):
     def reduce_point(self, p) -> CurvePoint:
         return as_point(p)
 
-    def _distance_matrix(self, left, right) -> np.ndarray:
-        distance = np.hypot(*_differences(left, right))  # abs() of the complex difference
+    def _reduce_pairs(self, left, right) -> tuple[np.ndarray, np.ndarray]:
+        """The differences themselves, and their moduli as ``abs`` rounds them; infinity apart."""
+        w = _pair_differences(left, right)
+        distance = np.hypot(w.real, w.imag)
         left_inf = np.array([p.at_infinity for p in left], dtype=bool)[:, None]
         right_inf = np.array([q.at_infinity for q in right], dtype=bool)[None, :]
         if left_inf.any() or right_inf.any():
             distance[left_inf | right_inf] = math.inf
             distance[left_inf & right_inf] = 0.0
-        return distance
+        return distance, w
 
     def kernel(self, p, q) -> float:
         return self._kernel_values(np.array([as_point(p).z - as_point(q).z]))[0]
 
-    def _kernel_values(self, differences: np.ndarray) -> list[float]:
-        return [math.log(abs(w)) for w in differences.tolist()]
+    def _kernel_values(self, reduced: np.ndarray) -> list[float]:
+        return [math.log(abs(w)) for w in reduced.tolist()]
 
     def _log_factors(self, differences: np.ndarray) -> np.ndarray:
         return np.log(differences)
@@ -232,13 +235,24 @@ class Torus(CurveModel):
         return CurvePoint(p.z - math.floor(a) - math.floor(b) * self.tau)
 
     def lattice_defect(self, z: complex) -> float:
-        """Distance from z to the nearest lattice point: |s|^-1 times the distance from s*z
-        to the nearest corner of its cell of the reduced lattice Z + tau'*Z."""
-        z, tau = self._scale * complex(z), self._reduced_tau
-        b = z.imag / tau.imag
-        corner = z - math.floor(z.real - b * tau.real) - math.floor(b) * tau
-        nearest = min(abs(corner), abs(corner - 1), abs(corner - tau), abs(corner - 1 - tau))
-        return nearest / abs(self._scale)
+        """Distance from z to the nearest lattice point, the scalar reference of ``_reduce_pairs``.
+
+        At the centred point z' of s*z (``_centred``: 0 <= Im z' <= Im tau'/2, |Re z'| <= 1/2)
+        the nearest point of Z + tau'*Z is 0 or tau' + k, k = -1, 0, 1, since Im tau' >= sqrt(3)/2
+        and |Re tau'| <= 1/2 put every other lattice point farther away; the distance is
+        |s|^-1 min(|z'|, |z' - tau' - k|).  The centring repeats ``_centred``'s roundings.
+        """
+        s, tau = self._scale, self._reduced_tau
+        w = s * complex(z)
+        n = float(round(w.imag / tau.imag))
+        x = w.real - n * tau.real
+        x -= round(x)
+        y = w.imag - n * tau.imag
+        if y < 0:
+            x, y = -x, -y
+        # abs() of a complex rounds as np.hypot does
+        nearest = min(abs(complex(x, y)), *(abs(complex(x - tau.real - k, y - tau.imag)) for k in (-1, 0, 1)))
+        return nearest / abs(s)
 
     def points_equal(self, p, q) -> bool:
         return self.point_distance(p, q) < self.point_tol
@@ -246,31 +260,18 @@ class Torus(CurveModel):
     def point_distance(self, p, q) -> float:
         return self.lattice_defect(as_point(p).z - as_point(q).z)
 
-    def _distance_matrix(self, left, right) -> np.ndarray:
-        """``point_distance`` over every pair, in one pass with ``lattice_defect``'s roundings.
-
-        Real and imaginary parts are separate float arrays and every product is
-        written out as Python's complex ``*`` computes it, so each entry equals
-        the scalar path's value bit for bit.
-        """
-        wr, wi = _differences(left, right)
-        s, tau = self._scale, self._reduced_tau
-        zr, zi = wr, wi
-        if s != 1:  # s*w, which is w itself for a reduced tau
-            zr = s.real * wr - s.imag * wi
-            zi = s.real * wi + s.imag * wr
-        b = zi / tau.imag
-        b_floor = np.floor(b)
-        cr = zr - np.floor(zr - b * tau.real) - b_floor * tau.real
-        ci = zi - b_floor * tau.imag
-        nearest = np.minimum(
-            np.minimum(np.hypot(cr, ci), np.hypot(cr - 1.0, ci)),
-            np.minimum(np.hypot(cr - tau.real, ci - tau.imag), np.hypot(cr - 1.0 - tau.real, ci - tau.imag)),
-        )
-        return nearest / abs(s)
+    def _reduce_pairs(self, left, right) -> tuple[np.ndarray, np.ndarray]:
+        """The centred points z' of s*(P_i - Q_j) (``_centred``) and the lattice distances
+        ``lattice_defect`` takes from them, with its roundings."""
+        centred = self._centred(_pair_differences(left, right))[0]
+        tau, x, y = self._reduced_tau, centred.real, centred.imag
+        nearest = np.hypot(x, y)
+        for k in (-1, 0, 1):
+            np.minimum(nearest, np.hypot(x - tau.real - k, y - tau.imag), out=nearest)
+        return nearest / abs(self._scale), centred
 
     def kernel(self, p, q) -> float:
-        return self._kernel_values(np.array([as_point(p).z - as_point(q).z]))[0]
+        return self._kernel_values(self._centred(np.array([as_point(p).z - as_point(q).z]))[0])[0]
 
     def _centred(self, w: np.ndarray, scaled: bool = True):
         """Centre every difference of the complex array w on the reduced lattice, in one array pass.
@@ -316,17 +317,16 @@ class Torus(CurveModel):
             sums.append((x - 1.0) + (x * high - low))
         return sums
 
-    def _kernel_values(self, differences: np.ndarray) -> list[float]:
+    def _kernel_values(self, centred: np.ndarray) -> list[float]:
         """g_tau(w) = g_tau'(s*w) + C, C = -1/2 sum log|tau_k|, for each difference w = P - Q.
 
         The kernel of the reduced modulus is even and doubly periodic, so it is taken at the
-        centred point z' of s*w (``_centred``, one array pass), 0 <= Im z' <= Im tau'/2:
+        centred point z' of s*w (``_centred``), 0 <= Im z' <= Im tau'/2, the entries of ``centred``:
             g_tau'(z') = log|S(z')| + pi Im z' (1 - Im z'/Im tau') - pi Im tau'/4,
         as theta1(z' | tau') = -i q^(1/4) exp(-i pi z') S(z'), S the sum of ``_series``.
         """
         height, constant, log, pi = self._reduced_tau.imag, self._kernel_constant, math.log, math.pi
         exp, two_pi_i, pi_i_tau = cmath.exp, 2j * math.pi, 1j * math.pi * self._reduced_tau
-        centred = self._centred(differences)[0]
         phases = [two_pi_i * z for z in centred.tolist()]
         sums = self._series(zip(map(exp, phases), map(exp, [pi_i_tau - phase for phase in phases])))
         return [log(abs(s)) + pi * im * (1.0 - im / height) + constant for im, s in zip(centred.imag.tolist(), sums)]
@@ -425,11 +425,11 @@ def _reduce_modulus(tau: complex) -> tuple[complex, complex, complex, complex]:
         tau = complex(-tau.real / norm, tau.imag / norm)
 
 
-def _differences(left, right) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of P_i - Q_j, as Python's complex ``-`` rounds them."""
+def _pair_differences(left, right) -> np.ndarray:
+    """P_i - Q_j over two CurvePoint sequences; numpy's complex ``-`` rounds each part as Python's does."""
     p = np.array([point.z for point in left], dtype=complex)
     q = np.array([point.z for point in right], dtype=complex)
-    return p.real[:, None] - q.real[None, :], p.imag[:, None] - q.imag[None, :]
+    return p[:, None] - q[None, :]
 
 
 def theta1(z: complex, tau: complex) -> complex:
@@ -489,30 +489,27 @@ def kernel_matrix(curve: CurveModel, left, right) -> tuple[np.ndarray, np.ndarra
 
     Returns ``(kernel, distance, defined)``, arrays of shape
     (len(left), len(right)): the kernel values, the curve distances
-    ``point_distance(P_i, Q_j)`` (all computed in one array pass), and the
-    mask of entries where the kernel is defined.  A pair that coincides
-    (distance below the curve's point tolerance) or involves the sphere's
-    point at infinity (infinite distance) is masked, never evaluated, and
-    its kernel entry is 0; the defined entries are evaluated in one
-    ``curve._kernel_values`` call on the array of their differences: on the
-    torus one array reduction and centring of all of them, then the theta
-    series per entry.  When ``left is right`` only the upper triangle is
-    evaluated and mirrored, so the matrix is exactly symmetric.
+    ``point_distance(P_i, Q_j)`` and the mask of entries where the kernel is
+    defined, all from one reduction per call (``curve._reduce_pairs``: on the
+    torus the centred points, from which the lattice distance is taken).  A
+    pair that coincides (distance below the curve's point tolerance) or
+    involves the sphere's point at infinity (infinite distance) is masked,
+    never evaluated, and its kernel entry is 0; the defined entries are
+    evaluated in one ``curve._kernel_values`` call on their reduced
+    differences.  When ``left is right`` only the upper triangle is evaluated
+    and mirrored, so the matrix is exactly symmetric.
     """
     symmetric = left is right
     left = [as_point(p) for p in left]
     right = left if symmetric else [as_point(q) for q in right]
-    distance = curve._distance_matrix(left, right)
+    distance, reduced = curve._reduce_pairs(left, right)
     if symmetric:
         distance = np.triu(distance, 1)
         distance += distance.T
     defined = (distance >= curve.point_tol) & (distance < math.inf)
     kernel = np.zeros(distance.shape)
     evaluated = np.triu(defined, 1) if symmetric else defined
-    lz = np.array([p.z for p in left], dtype=complex)
-    rz = lz if symmetric else np.array([q.z for q in right], dtype=complex)
-    # numpy's complex subtraction rounds each part as Python's complex ``-`` does
-    kernel[evaluated] = curve._kernel_values((lz[:, None] - rz[None, :])[evaluated])
+    kernel[evaluated] = curve._kernel_values(reduced[evaluated])
     if symmetric:
         kernel += kernel.T
     return kernel, distance, defined

@@ -247,7 +247,7 @@ class MarkedCurve:
                 raise DomainError("marked points must be affine")
             points.append(curve.reduce_point(point))
         # the upper triangle of one distance pass (``kernel_matrix``'s coincidence test)
-        if len(points) > 1 and np.triu(curve._distance_matrix(points, points) < curve.point_tol, 1).any():
+        if len(points) > 1 and np.triu(curve._reduce_pairs(points, points)[0] < curve.point_tol, 1).any():
             raise DomainError("marked points must be pairwise distinct")
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "marks", tuple(points))

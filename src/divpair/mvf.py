@@ -181,7 +181,8 @@ class PrincipalityCertificate:
     On the torus the certificate carries the corrected cycle periods of
     the associated third-kind differential; both lie in 2*pi*i*Z (within
     PERIOD_TOL) exactly for principal divisors, with the integrand nodes spent
-    on both cycles and the larger trapezoid error estimate |T_N - T_{N/2}|.
+    on both cycles and the larger trapezoid error estimate |T_N - T_{N/2}|, a
+    bound once T_{N/2} has converged, as at the default N (``_trapezoid``).
     """
 
     principal: bool
@@ -210,7 +211,9 @@ def _trapezoid(f, start: complex, direction: complex, steps: int) -> tuple[compl
 
     Trapezoid rule on `steps` (even) equal steps, f called once on all steps + 1 nodes; T_steps/2
     uses every other node.  Along a cycle the integrand repeats up to a constant jump, which the
-    half-weight endpoints integrate exactly, so the rule converges geometrically.
+    half-weight endpoints integrate exactly, so the rule converges geometrically.  The estimate bounds
+    the error only once T_steps/2 has converged (at clearance 0.005 and 32 steps it reads 1.6 against
+    an a-period error of 3.2); the certificate's 32 steps per panel lie far into convergence.
     """
     values = f(start + np.linspace(0.0, 1.0, steps + 1) * direction)
     ends = 0.5 * (values[0] + values[-1])
@@ -234,20 +237,12 @@ def _boundary_offset(values: list[float]) -> float:
     Any offset in that open interval leaves every value in a single unit
     strip below the contour, which is what keeps the branch windings of
     the period integrals coefficient-independent.  The midpoint maximizes
-    the quadrature clearance; it may exceed 1.
+    the quadrature clearance, its circular distance (min + 1 - max)/2 to
+    the values; it may exceed 1.
     """
     if not values:
         return 0.5
     return (max(values) + min(values) + 1.0) / 2.0
-
-
-def _circular_gap(offset: float, values: list[float]) -> float:
-    """Distance from offset to the set values + Z, values in [0, 1)."""
-    best = 0.5
-    for v in values:
-        d = abs(offset - v) % 1.0
-        best = min(best, d, 1.0 - d)
-    return best
 
 
 class _CyclePeriods(NamedTuple):
@@ -277,7 +272,8 @@ def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> _Cy
     b_vals = [b % 1.0 for _, b in coords]
     a0 = _boundary_offset(a_vals)
     b0 = _boundary_offset(b_vals)
-    gap_a, gap_b = _circular_gap(a0, a_vals), _circular_gap(b0, b_vals)
+    # each offset sits mid-seam: half the seam gap from the support on either side
+    gap_a, gap_b = a0 - max(a_vals), b0 - max(b_vals)
     clearance = min(gap_a, gap_b)
     scale, slope = torus._scale, torus._slope
     scaled = [(scale * point.z, coeff) for point, coeff in items]

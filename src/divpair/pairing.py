@@ -152,7 +152,7 @@ class RationalFunctionData:
         coincides with a zero (``points_equal``), DomainError at a pole; DisjointSupportError
         where P_i lies within ``clearance`` of either."""
         curve, divisor = self.curve, self.divisor_points()
-        distance = curve._distance_matrix(points, [q for q, _ in divisor])
+        distance = curve._reduce_pairs(points, [q for q, _ in divisor])[0]
         if clearance is not None and (distance <= clearance).any():
             raise DisjointSupportError()
         mults = np.array([m for _, m in divisor], dtype=float)

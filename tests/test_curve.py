@@ -353,6 +353,14 @@ def test_green_kernel_and_pairing_are_invariant_under_modular_words():
         assert abs(exponents[0] - exponents[1]) < 1e-11
 
 
+def brute_lattice_distance(z, tau):
+    return min(
+        abs(z - m - n * tau)
+        for n in range(-int(2 * abs(z) / tau.imag) - 2, int(2 * abs(z) / tau.imag) + 3)
+        for m in (round((z - n * tau).real) + k for k in (-1, 0, 1))
+    )
+
+
 def test_lattice_defect_is_exact_for_skewed_tau():
     # tau - 5 = 0.01i is a lattice vector, so 0.005i sits halfway to it
     assert abs(Torus(5 + 0.01j).lattice_defect(0.005j) - 0.005) < 1e-15
@@ -360,12 +368,18 @@ def test_lattice_defect_is_exact_for_skewed_tau():
     for _ in range(200):
         tau = random_tau(rng, real=6.0, low=0.01, high=3.0)
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        brute = min(
-            abs(z - m - n * tau)
-            for n in range(-int(2 * abs(z) / tau.imag) - 2, int(2 * abs(z) / tau.imag) + 3)
-            for m in (round((z - n * tau).real) + k for k in (-1, 0, 1))
-        )
-        assert abs(Torus(tau).lattice_defect(z) - brute) < 1e-12
+        assert abs(Torus(tau).lattice_defect(z) - brute_lattice_distance(z, tau)) < 1e-12
+    # where the four candidates 0 and tau' + k (k = -1, 0, 1) are tight: tau at the corners
+    # and on the edges of the fundamental domain, z on cell edges, at half periods and
+    # within 1e-9 of both, where two or more lattice points are (nearly) equally far
+    corners = [cmath.exp(1j * math.pi / 3), cmath.exp(2j * math.pi / 3), 1j, 0.5 + 1j, -0.5 + 1j]
+    for tau in corners + [tau + 3 for tau in corners] + [-1 / tau for tau in corners]:
+        torus = Torus(tau)
+        for a in (0.0, 0.5, 1.0, -1.5, rng.random()):
+            for b in (0.0, 0.5, 1.0, -0.5, rng.random()):
+                for nudge in (0, 1e-9, -1e-9j, 1e-9 * cmath.exp(2j * math.pi * rng.random())):
+                    z = a + b * tau + nudge
+                    assert abs(torus.lattice_defect(z) - brute_lattice_distance(z, tau)) < 1e-12
 
 
 def test_sphere_kernel_values():
@@ -554,14 +568,19 @@ def count_calls(monkeypatch, cls, names):
 
 @pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j), Torus(2.3 + 0.2j)])
 def test_kernel_matrix_tests_each_pair_once(monkeypatch, curve):
-    # one distance pass per call is the only coincidence test: no per-pair comparison
-    calls = count_calls(monkeypatch, type(curve), ("_distance_matrix", "point_distance", "points_equal"))
+    # one reduction pass per call is the only coincidence test, with no per-pair comparison,
+    # and on the torus the kernel reads that pass's centred points, with no second centring
+    names = ("_reduce_pairs", "point_distance", "points_equal")
+    if isinstance(curve, Torus):
+        names += ("_centred",)
+    calls = count_calls(monkeypatch, type(curve), names)
     left = [0.1 + 0.2j, 0.55 + 0.35j, 0.3 + 0.9j]
     right = [0.8 + 0.1j, 0.45 + 0.6j]
     kernel_matrix(curve, left, right)
-    assert calls == {"_distance_matrix": 1, "point_distance": 0, "points_equal": 0}
+    once = {name: int(name in ("_reduce_pairs", "_centred")) for name in names}
+    assert calls == once
     kernel_matrix(curve, left, left)
-    assert calls == {"_distance_matrix": 2, "point_distance": 0, "points_equal": 0}
+    assert calls == {name: 2 * count for name, count in once.items()}
 
 
 @pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j), Torus(2.3 + 0.2j)])
@@ -633,10 +652,10 @@ def test_sphere_distance_pass_equals_point_distance_bit_for_bit():
 
 def test_marked_curve_checks_distinctness_in_one_pass(monkeypatch):
     torus = Torus(2.3 + 0.2j)
-    calls = count_calls(monkeypatch, Torus, ("_distance_matrix", "point_distance", "points_equal"))
+    calls = count_calls(monkeypatch, Torus, ("_reduce_pairs", "point_distance", "points_equal"))
     marks = [0.1 + 0.05j, 0.55 + 0.15j, 0.3 + 0.1j, 0.8 + 0.02j]
     MarkedCurve(torus, marks)
-    assert calls == {"_distance_matrix": 1, "point_distance": 0, "points_equal": 0}
+    assert calls == {"_reduce_pairs": 1, "point_distance": 0, "points_equal": 0}
     with pytest.raises(DomainError):
         MarkedCurve(torus, marks + [marks[2] - 1 + 2 * torus.tau + TORUS_POINT_TOL / 4])
     with pytest.raises(DomainError):
