@@ -1,14 +1,20 @@
 """Command-line surface: every operation as a scriptable subcommand.
 
-Each invocation prints exactly one report document.  The default format
+Each invocation prints exactly one report document, the envelope
+``{command, inputs, outputs, metadata, status}``: ``command`` names the
+subcommand and ``status`` is ``pass`` or ``fail``.  The default format
 is JSON with sorted keys and 17-significant-digit floats, so identical
 invocations (including ``--seed``) are byte-identical; ``--format csv``
-flattens the output rows for tabular sweeps.  Complex values are emitted
-as the same literals the argument grammar accepts.  A norm or factor whose
-exponential leaves the float range is emitted as ``null`` and named in the
-report's ``out_of_range`` list; no report carries an ``inf`` or ``nan``.
+flattens the envelope into ``key,value`` rows, quoting a value that holds
+a comma, a double quote or a line break (RFC 4180).  Complex values are
+emitted as the same literals the argument grammar accepts.  A norm or
+factor whose exponential leaves the float range is emitted as ``null`` and
+named in the report's ``out_of_range`` list; no report carries an ``inf``
+or ``nan``.
 
-Exit codes: 0 pass, 1 property failure, 2 parse error, 3 domain error.
+Exit codes: 0 when the status is pass, 1 when it is fail (a property or
+an agreement check failed), 2 parse error, 3 domain error; an error
+prints no report.
 """
 
 from __future__ import annotations
@@ -100,22 +106,12 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "csv":
         lines = ["key,value"]
         for key, rendered in _flatten(report):
-            if "," in rendered or '"' in rendered:
+            if any(c in rendered for c in ',"\r\n'):  # RFC 4180
                 rendered = '"' + rendered.replace('"', '""') + '"'
             lines.append(f"{key},{rendered}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         sys.stdout.write(_canonical(report) + "\n")
-
-
-def _report(command: str, inputs: dict, outputs: dict, metadata: dict, status: str) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "metadata": metadata,
-        "status": status,
-    }
 
 
 def _in_range(value: float) -> float | None:
@@ -159,8 +155,11 @@ def _describe_divisor(d: ComplexDivisor) -> dict:
 
 # --- subcommands -------------------------------------------------------------
 
+# What every subcommand returns: its inputs, outputs, metadata, and whether it passed.
+_Report = tuple[dict, dict, dict, bool]
 
-def _cmd_green(args) -> int:
+
+def _cmd_green(args) -> _Report:
     mc, inputs = _build_marked_curve(args)
     d = parse_divisor(args.divisor, mc)
     at = args.at.strip()
@@ -168,20 +167,12 @@ def _cmd_green(args) -> int:
     value = green_divisor(mc.curve, d, point)
     inputs["divisor"] = _describe_divisor(d)
     inputs["at"] = point if isinstance(point, complex) else "inf"
-    _emit(
-        _report(
-            "green",
-            inputs,
-            {"value": value, "real": value.real, "imag": value.imag},
-            {"kernel": "log-distance" if args.curve == "sphere" else "theta1"},
-            "pass",
-        ),
-        args.format,
-    )
-    return EXIT_PASS
+    outputs = {"value": value, "real": value.real, "imag": value.imag}
+    metadata = {"kernel": "log-distance" if args.curve == "sphere" else "theta1"}
+    return inputs, outputs, metadata, True
 
 
-def _cmd_pairing(args) -> int:
+def _cmd_pairing(args) -> _Report:
     mc, inputs = _build_marked_curve(args)
     d1 = parse_divisor(args.d1, mc)
     d2 = parse_divisor(args.d2, mc)
@@ -193,33 +184,21 @@ def _cmd_pairing(args) -> int:
     norm = _in_range(primary.norm)
     # relative once |exponent| > 1: beyond 2^13 an absolute 1e-12 is below one ulp
     agreement_tol = FORMULA_AGREEMENT_TOL * tolerance_scale() * max(1.0, abs(primary.exponent))
-    status = "pass" if discrepancy <= agreement_tol else "fail"
     inputs["d1"] = _describe_divisor(d1)
     inputs["d2"] = _describe_divisor(d2)
-    _emit(
-        _report(
-            "pairing",
-            inputs,
-            {
-                "norm": norm,
-                "out_of_range": [] if norm else ["norm"],
-                "exponent": primary.exponent,
-                "hermitian_value": primary.hermitian_value,
-                "per_formula_exponent": {f: r.exponent for f, r in results.items()},
-                "formula_discrepancy": discrepancy,
-            },
-            {
-                "formula": args.formula,
-                "formula_agreement_tol": agreement_tol,
-            },
-            status,
-        ),
-        args.format,
-    )
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
+    outputs = {
+        "norm": norm,
+        "out_of_range": [] if norm else ["norm"],
+        "exponent": primary.exponent,
+        "hermitian_value": primary.hermitian_value,
+        "per_formula_exponent": {f: r.exponent for f, r in results.items()},
+        "formula_discrepancy": discrepancy,
+    }
+    metadata = {"formula": args.formula, "formula_agreement_tol": agreement_tol}
+    return inputs, outputs, metadata, discrepancy <= agreement_tol
 
 
-def _cmd_reciprocity(args) -> int:
+def _cmd_reciprocity(args) -> _Report:
     mc, inputs = _build_marked_curve(args)
     curve = mc.curve
     fz, fp, fc = parse_rational_function_spec(args.f)
@@ -228,23 +207,12 @@ def _cmd_reciprocity(args) -> int:
     g = RationalFunctionData.from_zeros_poles(curve, gz, gp, gc)
     residual = check_weil_reciprocity(f, g, mc)
     threshold = RECIPROCITY_TOL * tolerance_scale()
-    status = "pass" if residual < threshold else "fail"
     inputs["f"] = args.f
     inputs["g"] = args.g
-    _emit(
-        _report(
-            "reciprocity",
-            inputs,
-            {"residual": residual},
-            {"threshold": threshold},
-            status,
-        ),
-        args.format,
-    )
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
+    return inputs, {"residual": residual}, {"threshold": threshold}, residual < threshold
 
 
-def _cmd_class(args) -> int:
+def _cmd_class(args) -> _Report:
     mc, inputs = _build_marked_curve(args)
     d = parse_divisor(args.divisor, mc)
     descriptor = class_invariant(mc, d)
@@ -266,17 +234,7 @@ def _cmd_class(args) -> int:
             "periods_in_2pi_i_Z": certificate.periods_integral,
         }
     inputs["divisor"] = _describe_divisor(d)
-    _emit(
-        _report(
-            "class",
-            inputs,
-            outputs,
-            metadata,
-            "pass",
-        ),
-        args.format,
-    )
-    return EXIT_PASS
+    return inputs, outputs, metadata, True
 
 
 def _load_momentum_config(path: str):
@@ -311,7 +269,7 @@ def _load_momentum_config(path: str):
     return MarkedCurve(curve, marks), MomentumConfig(momenta), curve_name
 
 
-def _cmd_string_factor(args) -> int:
+def _cmd_string_factor(args) -> _Report:
     mc, cfg, curve_name = _load_momentum_config(args.config)
     result = string_pairing_factor(mc, cfg)
     factor = _in_range(result.factor)
@@ -320,29 +278,17 @@ def _cmd_string_factor(args) -> int:
     }
     out_of_range = [] if factor else ["factor"]
     out_of_range += [f"per_component_factor.{nu}" for nu, value in per_component.items() if not value]
-    _emit(
-        _report(
-            "string-factor",
-            {
-                "config": args.config,
-                "curve": curve_name,
-                "n_points": len(cfg),
-            },
-            {
-                "factor": factor,
-                "exponent": result.exponent,
-                "per_component_factor": per_component,
-                "out_of_range": out_of_range,
-            },
-            {"diagonal_omitted": result.diagonal_omitted},
-            "pass",
-        ),
-        args.format,
-    )
-    return EXIT_PASS
+    inputs = {"config": args.config, "curve": curve_name, "n_points": len(cfg)}
+    outputs = {
+        "factor": factor,
+        "exponent": result.exponent,
+        "per_component_factor": per_component,
+        "out_of_range": out_of_range,
+    }
+    return inputs, outputs, {"diagonal_omitted": result.diagonal_omitted}, True
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> _Report:
     from .selftest import run_selftest  # only this command loads the suite
 
     report = run_selftest(**{name: getattr(args, name) for name in ("seed", "cases") if hasattr(args, name)})
@@ -356,28 +302,18 @@ def _cmd_selftest(args) -> int:
         }
         for r in report.results
     ]
-    status = "pass" if report.passed else "fail"
     # wall time goes to the diagnostic stream so the report stays byte-identical
     print(f"selftest runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
-    _emit(
-        _report(
-            "selftest",
-            {"seed": report.seed, "cases": report.cases},
-            {"properties": rows, "all_passed": report.passed},
-            {"tolerance_scale": tolerance_scale()},
-            status,
-        ),
-        args.format,
-    )
-    if not report.passed:
-        for r in report.results:
-            if not r.passed:
-                print(
-                    f"property failure: {r.name} residual {r.residual:.3e} "
-                    f"exceeds {r.threshold:.3e}",
-                    file=sys.stderr,
-                )
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    for r in report.results:
+        if not r.passed:
+            print(
+                f"property failure: {r.name} residual {r.residual:.3e} "
+                f"exceeds {r.threshold:.3e}",
+                file=sys.stderr,
+            )
+    inputs = {"seed": report.seed, "cases": report.cases}
+    outputs = {"properties": rows, "all_passed": report.passed}
+    return inputs, outputs, {"tolerance_scale": tolerance_scale()}, report.passed
 
 
 # --- parser -------------------------------------------------------------------
@@ -453,7 +389,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
-        return args.handler(args)
+        inputs, outputs, metadata, passed = args.handler(args)
+        _emit(
+            {
+                "command": args.subcommand,
+                "inputs": inputs,
+                "outputs": outputs,
+                "metadata": metadata,
+                "status": "pass" if passed else "fail",
+            },
+            args.format,
+        )
+        return EXIT_PASS if passed else EXIT_FAIL
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -330,7 +330,6 @@ def monodromy_certificate(mc: MarkedCurve, d: ComplexDivisor) -> PrincipalityCer
     two_pi_i = 2j * math.pi
     nu = (b_raw - a_raw * torus.tau) / two_pi_i
     nu_b = nu.imag / torus.tau.imag
-    nu_a = nu.real - nu_b * torus.tau.real
     k = -round(nu_b)
     correction = two_pi_i * k - a_raw
     a_corr = two_pi_i * k

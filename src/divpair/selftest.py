@@ -108,30 +108,36 @@ def _random_curve(rng: random.Random):
     return Torus(_random_tau(rng)) if rng.random() < 0.5 else Sphere()
 
 
-def _random_sphere_points(rng: random.Random, count: int, min_gap: float = 0.3):
+def _random_points(rng: random.Random, curve, count: int, min_gap: float | None = None,
+                   box: float = 0.85) -> list[complex]:
+    """``count`` points at least ``min_gap`` apart: on a torus at lattice coordinates
+    in [0.05, box]^2 (gap 0.08 by default), on the sphere in the square
+    [-2, 2]^2 (gap 0.3 by default)."""
+    torus = isinstance(curve, Torus)
+    if min_gap is None:
+        min_gap = 0.08 if torus else 0.3
     points: list[complex] = []
     while len(points) < count:
-        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if all(abs(z - p) >= min_gap for p in points):
+        if torus:
+            z = curve.from_lattice_coords(rng.uniform(0.05, box), rng.uniform(0.05, box))
+        else:
+            z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        if all(curve.point_distance(z, p) >= min_gap for p in points):
             points.append(z)
     return points
 
-def _random_torus_points(rng: random.Random, torus: Torus, count: int,
-                         min_gap: float = 0.08, box: float = 0.85):
-    points: list[complex] = []
-    while len(points) < count:
-        z = torus.from_lattice_coords(
-            rng.uniform(0.05, box), rng.uniform(0.05, box)
-        )
-        if all(torus.lattice_defect(z - p) >= min_gap for p in points):
-            points.append(z)
-    return points
 
-
-def _random_points(rng: random.Random, curve, count: int, **kw):
-    if isinstance(curve, Torus):
-        return _random_torus_points(rng, curve, count, **kw)
-    return _random_sphere_points(rng, count)
+def _point_away(rng: random.Random, curve, points, gap: float) -> complex | None:
+    """A point at least ``gap`` from each of ``points``: on a torus anywhere in the
+    fundamental cell, on the sphere in [-2.5, 2.5]^2; None after 200 draws."""
+    for _ in range(200):
+        if isinstance(curve, Torus):
+            z = curve.from_lattice_coords(rng.uniform(0, 1), rng.uniform(0, 1))
+        else:
+            z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+        if all(curve.point_distance(z, p) >= gap for p in points):
+            return z
+    return None
 
 
 def _random_gaussian_rational(rng: random.Random, max_num: int = 1, max_den: int = 3):
@@ -192,26 +198,25 @@ def _pairing_instance(rng: random.Random, *, marked_only: bool = False,
 def _sphere_rational_pair(rng: random.Random):
     """Two sphere rational functions with disjoint complete divisors."""
     sphere = Sphere()
-    while True:
-        nf = rng.randint(1, 2)
-        ng = rng.randint(1, 2)
-        balanced_f = rng.random() < 0.5
-        # both unbalanced would share a pole at infinity
-        balanced_g = True if not balanced_f else rng.random() < 0.5
-        points = _random_sphere_points(rng, 2 * nf + 2 * ng, min_gap=0.25)
-        f_zeros = points[:nf]
-        f_poles = points[nf:2 * nf] if balanced_f else points[nf:2 * nf - 1]
-        g_zeros = points[2 * nf:2 * nf + ng]
-        g_poles = (
-            points[2 * nf + ng:2 * nf + 2 * ng]
-            if balanced_g
-            else points[2 * nf + ng:2 * nf + 2 * ng - 1]
-        )
-        cf = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-        cg = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-        f = RationalFunctionData.from_zeros_poles(sphere, f_zeros, f_poles, cf)
-        g = RationalFunctionData.from_zeros_poles(sphere, g_zeros, g_poles, cg)
-        return f, g
+    nf = rng.randint(1, 2)
+    ng = rng.randint(1, 2)
+    balanced_f = rng.random() < 0.5
+    # both unbalanced would share a pole at infinity
+    balanced_g = True if not balanced_f else rng.random() < 0.5
+    points = _random_points(rng, sphere, 2 * nf + 2 * ng, min_gap=0.25)
+    f_zeros = points[:nf]
+    f_poles = points[nf:2 * nf] if balanced_f else points[nf:2 * nf - 1]
+    g_zeros = points[2 * nf:2 * nf + ng]
+    g_poles = (
+        points[2 * nf + ng:2 * nf + 2 * ng]
+        if balanced_g
+        else points[2 * nf + ng:2 * nf + 2 * ng - 1]
+    )
+    cf = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+    cg = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+    f = RationalFunctionData.from_zeros_poles(sphere, f_zeros, f_poles, cf)
+    g = RationalFunctionData.from_zeros_poles(sphere, g_zeros, g_poles, cg)
+    return f, g
 
 
 def _torus_rational_pair(rng: random.Random, torus: Torus):
@@ -219,7 +224,7 @@ def _torus_rational_pair(rng: random.Random, torus: Torus):
     while True:
         nf = rng.randint(2, 3)
         ng = rng.randint(2, 3)
-        pts = _random_torus_points(rng, torus, nf + ng + nf + ng - 2, min_gap=0.09)
+        pts = _random_points(rng, torus, nf + ng + nf + ng - 2, min_gap=0.09)
         f_zeros = pts[:nf]
         f_poles = pts[nf:2 * nf - 1]
         f_poles.append(sum(f_zeros) - sum(f_poles))
@@ -313,21 +318,12 @@ def _check_harmonicity(ctx: _Ctx) -> float:
     worst = 0.0
     for _ in range(max(1, ctx.cases // 5)):
         curve = _random_curve(ctx.rng)
-        pts = _random_points(ctx.rng, curve, 2, min_gap=0.12) if isinstance(
-            curve, Torus
-        ) else _random_sphere_points(ctx.rng, 2)
+        pts = _random_points(ctx.rng, curve, 2, min_gap=0.12 if isinstance(curve, Torus) else None)
         weights = [1, -1]
         mc = MarkedCurve(curve)
         d = ComplexDivisor(mc, integral=list(zip(pts, weights)))
-        for _attempt in range(200):
-            z = (
-                curve.from_lattice_coords(ctx.rng.uniform(0, 1), ctx.rng.uniform(0, 1))
-                if isinstance(curve, Torus)
-                else complex(ctx.rng.uniform(-2.5, 2.5), ctx.rng.uniform(-2.5, 2.5))
-            )
-            if all(curve.point_distance(z, p) >= 0.45 for p in pts):
-                break
-        else:
+        z = _point_away(ctx.rng, curve, pts, 0.45)
+        if z is None:
             continue
         values = [
             green_divisor(curve, d, z + dz).real
@@ -344,7 +340,7 @@ def _check_sphere_invariance(ctx: _Ctx) -> float:
     mc = MarkedCurve(sphere)
     worst = 0.0
     for _ in range(ctx.cases):
-        pts = _random_sphere_points(ctx.rng, 3)
+        pts = _random_points(ctx.rng, sphere, 3)
         weights = _zero_sum_integers(ctx.rng, 3)
         d = ComplexDivisor(mc, integral=list(zip(pts, weights)))
         z = complex(ctx.rng.uniform(-2.5, 2.5), ctx.rng.uniform(-2.5, 2.5))
@@ -369,20 +365,12 @@ def _check_green_linearity(ctx: _Ctx) -> float:
     for _ in range(ctx.cases):
         mc, d1, d2 = _pairing_instance(ctx.rng)
         curve = mc.curve
-        for _attempt in range(200):
-            z = (
-                curve.from_lattice_coords(ctx.rng.uniform(0, 1), ctx.rng.uniform(0, 1))
-                if isinstance(curve, Torus)
-                else complex(ctx.rng.uniform(-2.5, 2.5), ctx.rng.uniform(-2.5, 2.5))
-            )
-            if all(
-                curve.point_distance(z, p) >= 0.1 for p in (d1 + d2).support_points()
-                if not p.at_infinity
-            ):
-                break
-        else:
+        both = d1 + d2
+        # the sphere's distance to infinity is infinite, so infinity never blocks a draw
+        z = _point_away(ctx.rng, curve, both.support_points(), 0.1)
+        if z is None:
             continue
-        total = green_divisor(curve, d1 + d2, z)
+        total = green_divisor(curve, both, z)
         split = green_divisor(curve, d1, z) + green_divisor(curve, d2, z)
         worst = max(worst, abs(total - split))
     return worst
@@ -421,7 +409,7 @@ def _check_divisor_group_laws(ctx: _Ctx) -> float:
 def _check_scale_multiplicative(ctx: _Ctx) -> float:
     failures = 0
     for _ in range(ctx.cases):
-        mc, d1, _ = _pairing_instance(ctx.rng, marked_only=True)
+        _, d1, _ = _pairing_instance(ctx.rng, marked_only=True)
         alpha = _random_gaussian_rational(ctx.rng)
         beta = _random_gaussian_rational(ctx.rng)
         if d1.scale(alpha * beta) != d1.scale(beta).scale(alpha):
@@ -432,7 +420,7 @@ def _check_scale_multiplicative(ctx: _Ctx) -> float:
 def _check_degree_homomorphism(ctx: _Ctx) -> float:
     failures = 0
     for _ in range(ctx.cases):
-        mc, d1, d2 = _pairing_instance(ctx.rng)
+        _, d1, d2 = _pairing_instance(ctx.rng)
         if (d1 + d2).degree() != d1.degree() + d2.degree():
             failures += 1
     return float(failures)
@@ -487,10 +475,11 @@ def _check_order_additivity(ctx: _Ctx) -> float:
 
 
 def _check_witness_residues(ctx: _Ctx) -> float:
+    sphere = Sphere()
     failures = 0
     for _ in range(ctx.cases):
         count = ctx.rng.randint(1, 4)
-        points = _random_sphere_points(ctx.rng, count)
+        points = _random_points(ctx.rng, sphere, count)
         exponents = [_random_gaussian_rational(ctx.rng) for _ in range(count)]
         orders = power_product_orders(points, exponents)
         total = GaussianRational(0)
@@ -510,7 +499,7 @@ def _check_principal_subgroup(ctx: _Ctx) -> float:
             mc = MarkedCurve(torus)
             parts = []
             for _ in range(2):
-                pts = _random_torus_points(ctx.rng, torus, 2, box=0.8)
+                pts = _random_points(ctx.rng, torus, 2, box=0.8)
                 third = 2 * pts[0] - pts[1]
                 parts.append(
                     ComplexDivisor(mc, integral=[(pts[0], 2), (pts[1], -1), (third, -1)])
@@ -583,12 +572,12 @@ def _check_class_vs_principal(ctx: _Ctx) -> float:
         make_equal = case % 2 == 0
         if make_equal and ctx.rng.random() < 0.5:
             qa, qb, c = _principal_marked_pair(ctx.rng, torus)
-            base = _random_torus_points(ctx.rng, torus, 2)
+            base = _random_points(ctx.rng, torus, 2)
             retries = 0
             while any(
                 torus.lattice_defect(p - q) < 0.08 for p in base for q in (qa, qb)
             ):
-                base = _random_torus_points(ctx.rng, torus, 2)
+                base = _random_points(ctx.rng, torus, 2)
                 retries += 1
                 if retries > 50:
                     qa, qb, c = _principal_marked_pair(ctx.rng, torus)
@@ -598,11 +587,11 @@ def _check_class_vs_principal(ctx: _Ctx) -> float:
             d1 = ComplexDivisor(mc, marked=list(enumerate(coeffs)))
             d2 = d1 + ComplexDivisor(mc, marked=[(2, c), (3, -c)])
         else:
-            marks = _random_torus_points(ctx.rng, torus, 3)
+            marks = _random_points(ctx.rng, torus, 3)
             mc = MarkedCurve(torus, marks)
             d1 = ComplexDivisor(mc, marked=list(enumerate(_zero_sum_coefficients(ctx.rng, 3))))
             if make_equal:
-                pts = _random_torus_points(ctx.rng, torus, 6, box=0.8)[3:]
+                pts = _random_points(ctx.rng, torus, 6, box=0.8)[3:]
                 third = 2 * pts[0] - pts[1]
                 if any(torus.lattice_defect(third - m) < 0.08 for m in marks + pts[:2]):
                     d2 = d1

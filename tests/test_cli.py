@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import divpair
-from divpair.cli import EXIT_DOMAIN, EXIT_PARSE, EXIT_PASS, main
+from divpair.cli import EXIT_DOMAIN, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, main
 from divpair.grammar import format_complex, parse_complex
 from divpair.mvf import JACOBI_LATTICE_TOL, PERIOD_TOL
 from divpair.selftest import tolerance_scale
@@ -256,6 +258,73 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("outputs.real,") for line in lines)
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r", "\r\n"])
+def test_csv_quotes_values_with_line_breaks(capsys, line_break):
+    f = f"zeros:0{line_break};poles:2"
+    code, out, _ = run(
+        capsys,
+        "--format", "csv",
+        "reciprocity", "--curve", "sphere", "--f", f, "--g", "zeros:1;poles:3",
+    )
+    assert code == EXIT_PASS
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert all(len(row) == 2 for row in rows)
+    assert dict(rows[1:])["inputs.f"] == f
+
+
+# A torus pairing whose three formulas differ by one rounding (1.1e-16), so it fails
+# once DIVPAIR_TOL shrinks the agreement tolerance below that.
+TORUS_DISCREPANCY = [
+    "pairing", "--curve", "torus", "--tau", "0.1+1.27i",
+    "--d1", "1@0.83+0.74i,-1@0.26+0.17i", "--d2", "1@0.69+0.72i,-1@0.48+0.76i",
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv, tol, expected", [
+    (["green", "--curve", "sphere", "--divisor", "1@2,-1@-2", "--at", "1"], None, "pass"),
+    (["pairing", "--curve", "sphere", "--d1", "1@1,-1@-1", "--d2", "1@2,-1@-2"], None, "pass"),
+    (["reciprocity", "--curve", "sphere", "--f", "zeros:0;poles:2", "--g", "zeros:1;poles:3"], None, "pass"),
+    (["class", "--curve", "torus", "--tau", "i", "--divisor", "1@0.25,-1@0.75"], None, "pass"),
+    (["string-factor", "--config", "{config}"], None, "pass"),
+    (["selftest", "--seed", "42", "--cases", "5"], None, "pass"),
+    (TORUS_DISCREPANCY, None, "pass"),
+    (TORUS_DISCREPANCY, "1e-30", "fail"),
+], ids=["green", "pairing", "reciprocity", "class", "string-factor", "selftest",
+        "pairing-torus", "pairing-torus-fail"])
+def test_every_command_prints_one_envelope(capsys, monkeypatch, tmp_path, fmt, argv, tol, expected):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "curve": "sphere", "marks": ["0", "3"],
+        "momenta": [["1"] + ["0"] * 12, ["-1"] + ["0"] * 12],
+    }), encoding="utf-8")
+    if tol is None:
+        monkeypatch.delenv("DIVPAIR_TOL", raising=False)
+    else:
+        monkeypatch.setenv("DIVPAIR_TOL", tol)
+    argv = [arg.replace("{config}", str(config)) for arg in argv]
+    code, out, _ = run(capsys, "--format", fmt, *argv)
+    if fmt == "json":
+        report = json.loads(out)
+        keys = set(report)
+    else:
+        assert out.startswith("key,value\n")
+        rows = list(csv.reader(io.StringIO(out, newline="")))[1:]
+        assert all(len(row) == 2 for row in rows)
+        report = dict(rows)
+        keys = {key.split(".")[0] for key, _ in rows}
+    assert keys == {"command", "inputs", "outputs", "metadata", "status"}
+    assert report["command"] == argv[0]
+    assert report["status"] == expected
+    assert code == (EXIT_PASS if expected == "pass" else EXIT_FAIL)
+    if expected == "fail":  # a real, if rounding-sized, disagreement
+        discrepancy = (
+            report["outputs"]["formula_discrepancy"] if fmt == "json"
+            else report["outputs.formula_discrepancy"]
+        )
+        assert float(discrepancy) > 0
 
 
 def test_tolerance_scale_env(capsys, monkeypatch):
