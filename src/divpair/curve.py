@@ -273,22 +273,18 @@ class Torus(CurveModel):
     def kernel(self, p, q) -> float:
         return self._kernel_values(self._centred(np.array([as_point(p).z - as_point(q).z]))[0])[0]
 
-    def _centred(self, w: np.ndarray, scaled: bool = True):
+    def _centred(self, w: np.ndarray):
         """Centre every difference of the complex array w on the reduced lattice, in one array pass.
 
-        Returns arrays (z', n, m, odd) with s*w = (-1)^odd z' + m + n tau' (w itself in place
-        of s*w when ``scaled`` is false, for w already in reduced coordinates), n and m
+        Returns arrays (z', n, m, odd) with s*w = (-1)^odd z' + m + n tau', n and m
         integer-valued floats and 0 <= Im z' <= Im tau'/2: n = round(Im(s*w)/Im tau'),
         m = round(Re(s*w - n tau')), and odd where s*w - n tau' - m lies below the real axis.
         Real and imaginary parts are separate float arrays and every product is written out
         as Python's complex ``*`` computes it, so each entry equals the scalar centring bit
         for bit (``+ 0.0`` keeps a rounded -0.0 from flipping the sign of a zero).
         """
-        tau = self._reduced_tau
-        wr, wi = w.real, w.imag
-        if scaled:
-            s = self._scale
-            wr, wi = s.real * wr - s.imag * wi, s.real * wi + s.imag * wr
+        tau, s = self._reduced_tau, self._scale
+        wr, wi = s.real * w.real - s.imag * w.imag, s.real * w.imag + s.imag * w.real
         n = np.rint(wi / tau.imag) + 0.0
         zr = wr - n * tau.real
         m = np.rint(zr) + 0.0
@@ -332,24 +328,28 @@ class Torus(CurveModel):
         return [log(abs(s)) + pi * im * (1.0 - im / height) + constant for im, s in zip(centred.imag.tolist(), sums)]
 
     def _log_derivative_sum(self, nodes: np.ndarray, items) -> np.ndarray:
-        """sum_P n_P (theta1'/theta1)(z - P | tau') at each node z, over (P, n_P) items, all in reduced coordinates.
+        """sum_P n_P (theta1'/theta1)(z - P | tau) at each node z, over (P, n_P) items, in this torus's coordinates.
 
-        Every difference z - P of the nodes x support grid is centred in one ``_centred`` pass,
-        with (theta1'/theta1)(w + tau') = (theta1'/theta1)(w) - 2 pi i and oddness; differentiating
-        the Fourier series there,
+        (theta1'/theta1)(w | tau) = s (theta1'/theta1)(s*w | tau') + beta*w (``_reduce_modulus``,
+        beta = ``_slope``).  Every difference z - P of the nodes x support grid is centred in one
+        ``_centred`` pass, with (theta1'/theta1)(w + tau') = (theta1'/theta1)(w) - 2 pi i and oddness;
+        differentiating the Fourier series there,
             (theta1'/theta1)(z') = -i pi + 2 pi i sum_k a_k p^k ((k + 1) x^(2k+1) + k) / sum_k a_k p^k (x^(2k+1) - 1)
                                  = i pi sum_k (2k + 1) a_k p^k (x^(2k+1) + 1) / sum_k a_k p^k (x^(2k+1) - 1),
-        one division per support point, both sums in the Horner form of ``_series``,
-        summed over the support in item order for each node.  Returns one sum per node.
+        one division per support point, both sums in the Horner form of ``_series``, summed over the
+        support in item order to i pi T for each node.  Returns one sum per node,
+        s (i pi T) + beta (sum_P n_P z - sum_P n_P P), in Python scalars.
         """
         nome, fourier, exp, two_pi_i = self._nome, self._fourier, cmath.exp, 2j * math.pi
-        pi_i_tau = 1j * math.pi * self._reduced_tau
-        points = np.array([point for point, _ in items], dtype=complex)
+        pi_i_tau, scale, slope = 1j * math.pi * self._reduced_tau, self._scale, self._slope
+        points = np.array([as_point(point).z for point, _ in items], dtype=complex)
         coeffs = [coeff for _, coeff in items]
+        weight = sum(coeffs)
+        moment = sum(coeff * point for coeff, point in zip(coeffs, points.tolist()))
         # numpy's complex subtraction rounds each part as Python's complex ``-`` does
-        centred, shifts, _, flips = self._centred(nodes[:, None] - points, scaled=False)
+        centred, shifts, _, flips = self._centred(nodes[:, None] - points)
         sums = []
-        for row, row_shifts, row_flips in zip(centred.tolist(), shifts.tolist(), flips.tolist()):
+        for z, row, row_shifts, row_flips in zip(nodes.tolist(), centred.tolist(), shifts.tolist(), flips.tolist()):
             total = 0j
             for coeff, w, n, odd in zip(coeffs, row, row_shifts, row_flips):
                 phase = two_pi_i * w
@@ -362,7 +362,7 @@ class Torus(CurveModel):
                     low_odd = (low_odd + b) * p
                 ratio = ((x + 1.0) + (x * high_odd + low_odd)) / ((x - 1.0) + (x * high - low))
                 total += coeff * ((-ratio if odd else ratio) - 2 * n)
-            sums.append(1j * math.pi * total)
+            sums.append(scale * (1j * math.pi * total) + slope * (weight * z - moment))
         return np.array(sums, dtype=complex)
 
     def _theta1_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,16 +456,15 @@ def _exp_in_range(log_value: complex, what: str) -> complex:
 def theta1_log_derivative(z: complex, tau: complex) -> complex:
     """theta1'(z|tau) / theta1(z|tau), for any tau with Im tau > 0.
 
-    (theta1'/theta1)(z | tau) = s (theta1'/theta1)(s*z | tau') + beta*z on the reduced
-    modulus of ``Torus(tau)``, evaluated by ``Torus._log_derivative_sum`` at one node.
-    The pole: DiagonalSingularityError when z lies within the torus point tolerance
-    of a lattice point, the coincidence test of ``green_kernel``.
+    ``Torus(tau)._log_derivative_sum`` at the one node z, over the support 0: the
+    Fourier series on the reduced modulus and the reduction's linear term.  The pole:
+    DiagonalSingularityError when z lies within the torus point tolerance of a lattice
+    point, the coincidence test of ``green_kernel``.
     """
     torus, z = Torus(tau), complex(z)
     if torus.lattice_defect(z) < torus.point_tol:
         raise DiagonalSingularityError()
-    total = torus._log_derivative_sum(np.array([torus._scale * z]), ((0j, 1),)).item()
-    return torus._scale * total + torus._slope * z
+    return torus._log_derivative_sum(np.array([z]), ((0j, 1),)).item()
 
 
 def green_kernel(curve: CurveModel, p, q) -> float:

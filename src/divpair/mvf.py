@@ -222,27 +222,30 @@ def _trapezoid(f, start: complex, direction: complex, steps: int) -> tuple[compl
     return complex(fine), abs(complex(fine - coarse))
 
 
-def _panel_count(clearance: float, length_over_distance: float) -> int:
-    """Quadrature panels along one contour: 24, 48 or 96 by the clearance, and more where
-    the contour is long against its distance to the nearest pole (a skewed tau), so that
-    no panel spans more than _PANEL_RATIO such distances; at most _MAX_PANELS.  The
-    trapezoid rule takes _STEPS_PER_PANEL steps per panel."""
-    panels = 24 if clearance >= 0.05 else 48 if clearance >= 0.02 else 96
-    return min(max(panels, math.ceil(length_over_distance / _PANEL_RATIO)), _MAX_PANELS)
+def _panel_count(length_over_distance: float) -> int:
+    """Quadrature panels along one contour: enough that no panel spans more than _PANEL_RATIO
+    distances to the nearest pole, the periodic trapezoid rule's convergence condition
+    (Trefethen & Weideman, SIAM Rev. 56 (2014)), with at least 24 and at most _MAX_PANELS.
+    The trapezoid rule takes _STEPS_PER_PANEL steps per panel."""
+    return min(max(24, math.ceil(length_over_distance / _PANEL_RATIO)), _MAX_PANELS)
 
 
-def _boundary_offset(values: list[float]) -> float:
-    """Midpoint of the seam gap (max(values), min(values) + 1); 0.5 if empty.
+def _boundary_offset(values: list[float]) -> tuple[float, float]:
+    """(offset, clearance): the midpoint of the seam gap (max(values), min(values) + 1), which
+    may exceed 1, and its circular distance (min + 1 - max)/2 to the values.
 
-    Any offset in that open interval leaves every value in a single unit
-    strip below the contour, which is what keeps the branch windings of
-    the period integrals coefficient-independent.  The midpoint maximizes
-    the quadrature clearance, its circular distance (min + 1 - max)/2 to
-    the values; it may exceed 1.
+    Any offset in that open interval leaves every value in a single unit strip below the
+    contour, which is what keeps the branch windings of the period integrals
+    coefficient-independent; the midpoint maximizes the quadrature clearance.  The values
+    are the stored lattice coordinates, in [0, 1) up to rounding: a point a rounding below
+    0 stays there, so the gap is not closed by wrapping it to 1.  Only values spanning a
+    full period or more (two points on opposite copies of one cell edge) are taken mod 1.
     """
-    if not values:
-        return 0.5
-    return (max(values) + min(values) + 1.0) / 2.0
+    if max(values) - min(values) >= 1.0:
+        values = [value % 1.0 for value in values]
+    high = max(values)
+    offset = (high + min(values) + 1.0) / 2.0
+    return offset, offset - high
 
 
 class _CyclePeriods(NamedTuple):
@@ -257,44 +260,31 @@ class _CyclePeriods(NamedTuple):
 def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> _CyclePeriods:
     """Raw periods of sum_P n_P (theta1'/theta1)(z - P) dz along both cycles.
 
-    Each contour runs through the seam gap of the support coordinates
-    (between the largest coordinate and the smallest plus one), so all
-    support points sit in a single period strip of each contour.  The
-    integrand is evaluated on the torus's reduced modulus: with
-    (theta1'/theta1)(w | tau) = s (theta1'/theta1)(s*w | tau') + beta*w, each
-    contour is integrated in the coordinate s*z by the trapezoid rule on
-    _STEPS_PER_PANEL * _panel_count steps, and the linear part is added in
-    closed form.
+    Each contour runs through the seam gap of the support's stored lattice coordinates
+    (``_boundary_offset``), so all support points sit in a single period strip of each
+    contour.  The integrand is ``Torus._log_derivative_sum``, in the torus's own
+    coordinates, and each contour is integrated by the trapezoid rule on
+    _STEPS_PER_PANEL * _panel_count steps, which integrates the linear term of the
+    log-derivative exactly.
     """
     tau = torus.tau
     coords = [torus.lattice_coords(point.z) for point, _ in items]
-    a_vals = [a % 1.0 for a, _ in coords]
-    b_vals = [b % 1.0 for _, b in coords]
-    a0 = _boundary_offset(a_vals)
-    b0 = _boundary_offset(b_vals)
-    # each offset sits mid-seam: half the seam gap from the support on either side
-    gap_a, gap_b = a0 - max(a_vals), b0 - max(b_vals)
-    clearance = min(gap_a, gap_b)
-    scale, slope = torus._scale, torus._slope
-    scaled = [(scale * point.z, coeff) for point, coeff in items]
-    weight = sum(coeff for _, coeff in items)
-    moment = sum(coeff * point.z for point, coeff in items)
+    a0, gap_a = _boundary_offset([a for a, _ in coords])
+    b0, gap_b = _boundary_offset([b for _, b in coords])
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
-        return torus._log_derivative_sum(nodes, scaled)
+        return torus._log_derivative_sum(nodes, items)
 
     def period(start: complex, direction: complex, length_over_distance: float) -> tuple[complex, float, int]:
-        # sum_P n_P * beta * (integral of (z - P) dz along the segment)
-        linear = slope * direction * (weight * (start + 0.5 * direction) - moment)
-        n = _STEPS_PER_PANEL * _panel_count(clearance, length_over_distance)
-        value, error = _trapezoid(integrand, scale * start, scale * direction, n)
-        return value + linear, error, n + 1
+        n = _STEPS_PER_PANEL * _panel_count(length_over_distance)
+        value, error = _trapezoid(integrand, start, direction, n)
+        return value, error, n + 1
 
     # the a-contour (length 1) passes the poles at gap_b * Im tau, the b-contour
     # (length |tau|) at gap_a * Im tau / |tau|
     a_period, a_error, a_nodes = period(torus.from_lattice_coords(0.0, b0), 1.0 + 0j, 1.0 / (gap_b * tau.imag))
     b_period, b_error, b_nodes = period(torus.from_lattice_coords(a0, 0.0), tau, abs(tau) ** 2 / (gap_a * tau.imag))
-    return _CyclePeriods(a_period, b_period, clearance, a_nodes + b_nodes, a_error, b_error)
+    return _CyclePeriods(a_period, b_period, min(gap_a, gap_b), a_nodes + b_nodes, a_error, b_error)
 
 
 def monodromy_certificate(mc: MarkedCurve, d: ComplexDivisor) -> PrincipalityCertificate:

@@ -343,9 +343,9 @@ def _check_sphere_invariance(ctx: _Ctx) -> float:
         pts = _random_points(ctx.rng, sphere, 3)
         weights = _zero_sum_integers(ctx.rng, 3)
         d = ComplexDivisor(mc, integral=list(zip(pts, weights)))
-        z = complex(ctx.rng.uniform(-2.5, 2.5), ctx.rng.uniform(-2.5, 2.5))
-        while any(abs(z - p) < 0.2 for p in pts):
-            z = complex(ctx.rng.uniform(-2.5, 2.5), ctx.rng.uniform(-2.5, 2.5))
+        z = _point_away(ctx.rng, sphere, pts, 0.2)
+        if z is None:
+            continue
         base = green_divisor(sphere, d, z)
         shift = complex(ctx.rng.uniform(-2, 2), ctx.rng.uniform(-2, 2))
         translated = ComplexDivisor(

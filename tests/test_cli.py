@@ -440,6 +440,26 @@ def test_class_monodromy_agrees_with_abel_jacobi_on_a_skewed_torus(capsys):
     assert report["monodromy"]["period_defect"] < 1e-8
 
 
+@pytest.mark.parametrize("divisor, principal", [
+    ("1@0.3+0.01i,-1@0.6+0.02i,1@0.5+0.03i,-1@0.2+0.02i", True),
+    ("-1@0.3+0.000099999999999999i,1@0.2+0.00005i,-1@0.4+0.00005i,1@0.5+0.03i", False),
+])
+def test_class_monodromy_takes_the_seam_from_the_stored_coordinates_on_a_thin_torus(capsys, divisor, principal):
+    # 0.5+0.03i is stored as 0.5-3.5e-18i, a rounding below the real axis (b = -3.5e-14): wrapped
+    # to b = 0.99999999999996, it closed the seam gap and ran the a-contour along its own row.
+    # In the second divisor two points round onto opposite copies of one cell edge, so the
+    # stored b-coordinates span a full period and are taken mod 1; unwrapped, the a-contour
+    # would cross the support and read an a-period of order 1e14
+    code, out, _ = run(capsys, "class", "--curve", "torus", "--tau", "0.5+0.0001i", f"--divisor={divisor}")
+    assert code == EXIT_PASS
+    report = json.loads(out)["outputs"]
+    assert report["principal"] is principal
+    assert report["monodromy"]["periods_in_2pi_i_Z"] is principal
+    assert report["monodromy"]["a_period"] == "0"
+    if principal:
+        assert report["monodromy"]["period_defect"] < 1e-6
+
+
 def test_pairing_single_formula(capsys):
     code, out, _ = run(
         capsys,

@@ -218,10 +218,10 @@ def test_theta1_log_derivative_pole_is_a_diagonal_singularity():
 # complex at a time.  The array evaluators must equal them bit for bit.
 
 
-def scalar_centre(torus, w, scaled=True):
+def scalar_centre(torus, w):
     """(z', n, m, odd) with s*w = (-1)^odd z' + m + n tau', one complex at a time."""
     tau = torus._reduced_tau
-    z = torus._scale * w if scaled else w
+    z = torus._scale * w
     n = round(z.imag / tau.imag)
     z -= n * tau
     m = round(z.real)
@@ -252,13 +252,16 @@ def scalar_kernel(torus, w):
 
 
 def scalar_log_derivative_sum(torus, z, items):
+    """The sum at one node z, in torus coordinates: s and beta applied as the library applies them."""
     total = 0j
     for point, coeff in items:
-        w, n, _, odd = scalar_centre(torus, z - point, scaled=False)
+        w, n, _, odd = scalar_centre(torus, z - point)
         x, _, high, low, high_odd, low_odd = scalar_sums(torus, w)
         ratio = ((x + 1.0) + (x * high_odd + low_odd)) / ((x - 1.0) + (x * high - low))
         total += coeff * ((-ratio if odd else ratio) - 2 * n)
-    return 1j * math.pi * total
+    weight = sum(coeff for _, coeff in items)
+    moment = sum(coeff * point for point, coeff in items)
+    return torus._scale * (1j * math.pi * total) + torus._slope * (weight * z - moment)
 
 
 def scalar_theta1(torus, w):
@@ -303,10 +306,9 @@ def test_array_centring_equals_the_scalar_loops_bit_for_bit(tau):
     for z in points[:-4]:
         # theta1 itself leaves the float range far off the real axis of a thin torus
         assert outcome(theta1, z, tau) == outcome(scalar_theta1, torus, z)
-        expected = torus._scale * scalar_log_derivative_sum(torus, torus._scale * z, ((0j, 1),)) + torus._slope * z
-        assert theta1_log_derivative(z, tau) == expected
-    items = [(torus._scale * z, c) for z, c in zip(points[:4], (2, -1, 1j, -1 - 1j))]
-    nodes = [torus._scale * z for z in points[4:]]
+        assert theta1_log_derivative(z, tau) == scalar_log_derivative_sum(torus, z, ((0j, 1),))
+    items = list(zip(points[:4], (2, -1, 1j, -1 - 1j)))
+    nodes = points[4:]
     sums = torus._log_derivative_sum(np.array(nodes), items)
     assert sums.tolist() == [scalar_log_derivative_sum(torus, z, items) for z in nodes]
 

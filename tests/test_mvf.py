@@ -214,6 +214,28 @@ def test_monodromy_certificate_support_near_cell_seam():
     cert = is_principal(mc, d)
     assert cert.principal and cert.periods_integral
     assert cert.period_defect < 1e-9
+    # seam gaps down to clearance 1e-3 in either coordinate, with integer and complex coefficients:
+    # the certificate agrees with Abel-Jacobi on both sides
+    kappa = GaussianRational(2, 1)
+    qa = t.from_lattice_coords(0.62, 0.55)
+    mc = MarkedCurve(t, [qa, qa - 1.0 / kappa.to_complex()])  # kappa * (qa - qb) = 1
+    for clearance in (1e-3, 3e-3, 0.01, 0.05):
+        for swap in (False, True):
+            def at(low, other):
+                return t.from_lattice_coords(*((other, low) if swap else (low, other)))
+
+            # one coordinate takes the values 0.5, 1 - clearance and 2 * 0.5 - (1 - clearance)
+            p, r = at(0.5, 0.3), at(1 - clearance, 0.45)
+            shift = at(0, 0.1)  # along the other coordinate, so the seam gap stays
+            for marked, other_marked in (({}, {}), ({0: kappa, 1: -kappa}, {0: I, 1: -I})):
+                principal = ComplexDivisor(mc, integral=[(p, 2), (r, -1), (2 * p - r, -1)], marked=marked)
+                other = ComplexDivisor(mc, integral=[(p, 2), (r, -1), (2 * p - r + shift, -1)], marked=other_marked)
+                for d, expected in ((principal, True), (other, False)):
+                    assert min(seam_gaps(t, d.support_points())) == pytest.approx(clearance)
+                    cert = is_principal(mc, d)
+                    assert cert.principal is expected and cert.periods_integral is expected
+                    if expected:
+                        assert cert.period_defect < 1e-12
 
 
 def test_monodromy_certificate_complex_principal():
@@ -251,11 +273,28 @@ def test_power_product_orders_sum_to_zero():
         assert orders[-1][0].at_infinity
 
 
+def panel_steps(length_over_distance):
+    """Trapezoid steps on one contour: 32 per panel, no panel longer than 4 pole distances, 24 to 4096 panels."""
+    return 32 * min(max(24, math.ceil(length_over_distance / 4)), 4096)
+
+
+def seam_gaps(t, points):
+    """Half the seam gap, (min + 1 - max) / 2, of each stored lattice coordinate of the points."""
+    return [(min(v) + 1 - max(v)) / 2 for v in zip(*(t.lattice_coords(point.z) for point in points))]
+
+
+def contour_steps(t, items):
+    """(a-contour, b-contour) steps: the a-contour (length 1) passes the poles at gap_b * Im tau,
+    the b-contour (length |tau|) at gap_a * Im tau / |tau|."""
+    gap_a, gap_b = seam_gaps(t, [point for point, _ in items])
+    tau = t.tau
+    return panel_steps(1 / (gap_b * tau.imag)), panel_steps(abs(tau) ** 2 / (gap_a * tau.imag))
+
+
 @pytest.mark.parametrize("tau", [2.7 + 0.3j, -1.2 + 0.6j, 0.45 + 0.2j])
 def test_cycle_periods_off_the_fundamental_domain_match_the_unreduced_integrand(tau):
-    # the periods are integrated in the coordinate s*z of the reduced modulus, with
-    # the linear part of the log-derivative added in closed form; the same contour
-    # integrated with theta1_log_derivative(z - P, tau) at every node must agree
+    # the periods are integrated with the reduction inside Torus._log_derivative_sum; the
+    # same contour integrated with theta1_log_derivative(z - P, tau) at every node must agree
     from divpair.curve import theta1_log_derivative
     from divpair.mvf import _boundary_offset, _cycle_periods, _trapezoid
 
@@ -273,12 +312,11 @@ def test_cycle_periods_off_the_fundamental_domain_match_the_unreduced_integrand(
             ])
 
         coords = [t.lattice_coords(point.z) for point, _ in items]
-        a0 = _boundary_offset([a % 1.0 for a, _ in coords])
-        b0 = _boundary_offset([b % 1.0 for _, b in coords])
-        clearance = periods.clearance
-        steps = 32 * (24 if clearance >= 0.05 else 48 if clearance >= 0.02 else 96)
-        direct_a, _ = _trapezoid(integrand, t.from_lattice_coords(0.0, b0), 1.0 + 0j, steps)
-        direct_b, _ = _trapezoid(integrand, t.from_lattice_coords(a0, 0.0), tau, steps)
+        a0, _ = _boundary_offset([a for a, _ in coords])
+        b0, _ = _boundary_offset([b for _, b in coords])
+        a_steps, b_steps = contour_steps(t, items)
+        direct_a, _ = _trapezoid(integrand, t.from_lattice_coords(0.0, b0), 1.0 + 0j, a_steps)
+        direct_b, _ = _trapezoid(integrand, t.from_lattice_coords(a0, 0.0), tau, b_steps)
         assert abs(periods.a - direct_a) < 1e-9 * max(1.0, abs(direct_a))
         assert abs(periods.b - direct_b) < 1e-9 * max(1.0, abs(direct_b))
 
@@ -290,34 +328,30 @@ def test_cycle_periods_off_the_fundamental_domain_match_the_unreduced_integrand(
     assert not cert.principal and not cert.periods_integral
 
 
-def test_panel_counts_on_the_fundamental_domain_follow_the_clearance(monkeypatch):
-    # on |Re tau| <= 1/2, Im tau in [0.8, 1.6] (the selftest's and the benchmark's moduli)
-    # every contour keeps 32 trapezoid steps on each of 24, 48 or 96 panels by the
-    # clearance, down to clearance 0.005
+def test_each_contour_takes_32_steps_per_panel_of_at_most_4_pole_distances(monkeypatch):
+    # one panel rule at every modulus, from thin tori (Im tau = 1e-6, at the 4096-panel cap)
+    # through skewed ones to the fundamental domain (at the 24-panel floor)
     import divpair.mvf as mvf
 
     steps = []
-    integrate = mvf._trapezoid
 
     def recording(f, start, direction, count):
         steps.append(count)
-        return integrate(f, start, direction, count)
+        return 0j, 0.0
 
     monkeypatch.setattr(mvf, "_trapezoid", recording)
     rng = random.Random(89)
-    checked = 0
-    while checked < 40:
-        t = Torus(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6)))
+    seen = set()
+    for _ in range(60):
+        t = Torus(complex(rng.uniform(-3, 3), 10 ** rng.uniform(-6, 0.5)))
         coords = [(rng.random(), rng.random()) for _ in range(4)]
         items = [(CurvePoint(t.from_lattice_coords(a, b)), c) for (a, b), c in zip(coords, (1, -1, 2, -2))]
         steps.clear()
         periods = mvf._cycle_periods(t, items)
-        if periods.clearance < 0.005:
-            continue
-        expected = 32 * (24 if periods.clearance >= 0.05 else 48 if periods.clearance >= 0.02 else 96)
-        assert steps == [expected, expected]
-        assert periods.nodes == 2 * (expected + 1)
-        checked += 1
+        assert steps == list(contour_steps(t, items))
+        assert periods.nodes == sum(steps) + 2
+        seen.update(steps)
+    assert {24 * 32, 4096 * 32} < seen
 
 
 def lattice_distance(period, offset=0j):
@@ -359,7 +393,7 @@ def test_trapezoid_estimate_bounds_the_a_period_error_at_low_clearance(monkeypat
     t = Torus(0.1 + 1.1j)
     coords = zip((0.1, 0.45, 0.7, 0.3), (0.02, 0.5, 0.97, 0.3))
     items = [(CurvePoint(t.from_lattice_coords(a, b)), c) for (a, b), c in zip(coords, (1, -1, 1, -1))]
-    monkeypatch.setattr(mvf, "_panel_count", lambda clearance, length_over_distance: 1)
+    monkeypatch.setattr(mvf, "_panel_count", lambda length_over_distance: 1)
     for n in (16, 32, 64):
         monkeypatch.setattr(mvf, "_STEPS_PER_PANEL", n)
         periods = mvf._cycle_periods(t, items)
