@@ -20,9 +20,6 @@ from .divisor import (
     GaussianRational,
     MarkedCurve,
     class_invariant,
-    degree,
-    divisor_add,
-    divisor_scale,
 )
 from .errors import (
     ContextMismatchError,

@@ -38,6 +38,9 @@ TORUS_POINT_TOL = 1e-9
 # theta1's Fourier series keeps the terms k with |q|^(k^2) >= 1e-17
 _LOG_THETA_CUTOFF = math.log(1e-17)
 
+# one centred difference (``Torus._centred``): s*w = (-1)^odd z + m + n tau'
+_CENTRING = np.dtype([("w", complex), ("z", complex), ("n", float), ("m", float), ("odd", bool)])
+
 __all__ = [
     "CurvePoint",
     "CurveModel",
@@ -123,17 +126,18 @@ class CurveModel:
         """The bare kernel formula; callers exclude coincident and infinite pairs."""
         raise NotImplementedError
 
-    def _kernel_values(self, reduced: np.ndarray) -> list[float]:
-        """The bare kernel at each entry of a complex array of reduced differences (``_reduce_pairs``), as a list."""
+    def _kernel_values(self, reduced: np.ndarray) -> np.ndarray:
+        """The bare kernel at each entry of an array of reduced differences (``_reduce_pairs``)."""
         raise NotImplementedError
 
     def _reduce_pairs(self, left, right) -> tuple[np.ndarray, np.ndarray]:
         """(distance, reduced) over every pair of two CurvePoint sequences, in one array pass: ``point_distance``
-        bit for bit, and P_i - Q_j in the form ``_kernel_values`` takes."""
+        bit for bit, and P_i - Q_j in the form ``_kernel_values`` and ``_log_factors`` take."""
         raise NotImplementedError
 
-    def _log_factors(self, differences: np.ndarray) -> np.ndarray:
-        """log of the prime factor, w or theta1(w), at each entry w of a 1-D complex array, on some branch."""
+    def _log_factors(self, reduced: np.ndarray) -> np.ndarray:
+        """log of the prime factor, w or theta1(w), at each entry of a 1-D array of reduced differences
+        (``_reduce_pairs``), on some branch."""
         raise NotImplementedError
 
 
@@ -170,10 +174,10 @@ class Sphere(CurveModel):
         return distance, w
 
     def kernel(self, p, q) -> float:
-        return self._kernel_values(np.array([as_point(p).z - as_point(q).z]))[0]
+        return float(self._kernel_values(np.array([as_point(p).z - as_point(q).z]))[0])
 
-    def _kernel_values(self, reduced: np.ndarray) -> list[float]:
-        return [math.log(abs(w)) for w in reduced.tolist()]
+    def _kernel_values(self, reduced: np.ndarray) -> np.ndarray:
+        return np.log(np.abs(reduced))
 
     def _log_factors(self, differences: np.ndarray) -> np.ndarray:
         return np.log(differences)
@@ -189,7 +193,10 @@ class Torus(CurveModel):
     theta1 of tau' is its Fourier series, whose coefficients
     a_k = (-1)^k q^(k^2), q = exp(i pi tau'), are tabulated once for k < K:
     K is the least integer with |q|^(K^2) < 1e-17, at most 4 since
-    Im tau' >= sqrt(3)/2 (``_fourier``).
+    Im tau' >= sqrt(3)/2 (``_fourier``).  The kernel and theta1 sum it in
+    expm1 form over whole arrays of centred points (``_series``); the
+    certificate's log-derivative keeps its own scalar Horner loop
+    (``_log_derivative_sum``).
     """
 
     tau: complex = 1j
@@ -261,27 +268,27 @@ class Torus(CurveModel):
         return self.lattice_defect(as_point(p).z - as_point(q).z)
 
     def _reduce_pairs(self, left, right) -> tuple[np.ndarray, np.ndarray]:
-        """The centred points z' of s*(P_i - Q_j) (``_centred``) and the lattice distances
-        ``lattice_defect`` takes from them, with its roundings."""
-        centred = self._centred(_pair_differences(left, right))[0]
-        tau, x, y = self._reduced_tau, centred.real, centred.imag
+        """The centring of every s*(P_i - Q_j) (``_centred``) and the lattice distances
+        ``lattice_defect`` takes from its centred points, with its roundings."""
+        centring = self._centred(_pair_differences(left, right))
+        tau, x, y = self._reduced_tau, centring["z"].real, centring["z"].imag
         nearest = np.hypot(x, y)
         for k in (-1, 0, 1):
             np.minimum(nearest, np.hypot(x - tau.real - k, y - tau.imag), out=nearest)
-        return nearest / abs(self._scale), centred
+        return nearest / abs(self._scale), centring
 
     def kernel(self, p, q) -> float:
-        return self._kernel_values(self._centred(np.array([as_point(p).z - as_point(q).z]))[0])[0]
+        return float(self._kernel_values(self._centred(np.array([as_point(p).z - as_point(q).z])))[0])
 
-    def _centred(self, w: np.ndarray):
+    def _centred(self, w: np.ndarray) -> np.ndarray:
         """Centre every difference of the complex array w on the reduced lattice, in one array pass.
 
-        Returns arrays (z', n, m, odd) with s*w = (-1)^odd z' + m + n tau', n and m
-        integer-valued floats and 0 <= Im z' <= Im tau'/2: n = round(Im(s*w)/Im tau'),
-        m = round(Re(s*w - n tau')), and odd where s*w - n tau' - m lies below the real axis.
-        Real and imaginary parts are separate float arrays and every product is written out
-        as Python's complex ``*`` computes it, so each entry equals the scalar centring bit
-        for bit (``+ 0.0`` keeps a rounded -0.0 from flipping the sign of a zero).
+        Returns the centring of w, a record array of its shape (``_CENTRING``): s*w = (-1)^odd z + m + n tau'
+        with the fields n and m integer-valued floats and 0 <= Im z <= Im tau'/2, where n = round(Im(s*w)/Im tau'),
+        m = round(Re(s*w - n tau')), and odd where s*w - n tau' - m lies below the real axis; the field w keeps
+        the difference itself.  Real and imaginary parts are separate float arrays and every product is written
+        out as Python's complex ``*`` computes it, so each entry equals the scalar centring bit for bit
+        (``+ 0.0`` keeps a rounded -0.0 from flipping the sign of a zero).
         """
         tau, s = self._reduced_tau, self._scale
         wr, wi = s.real * w.real - s.imag * w.imag, s.real * w.imag + s.imag * w.real
@@ -291,41 +298,42 @@ class Torus(CurveModel):
         zr = zr - m
         zi = wi - n * tau.imag
         odd = zi < 0
-        z = np.empty(zr.shape, dtype=complex)
+        centring = np.empty(w.shape, dtype=_CENTRING)
+        centring["w"], centring["n"], centring["m"], centring["odd"] = w, n, m, odd
+        z = centring["z"]
         z.real = np.where(odd, -zr, zr)
         z.imag = np.where(odd, -zi, zi)
-        return z, n, m, odd
+        return centring
 
-    def _series(self, powers) -> list[complex]:
-        """The theta1 Fourier sum S(z') = sum_k a_k p^k (x^(2k+1) - 1) for each (x, p) of ``powers``.
+    def _series(self, centred: np.ndarray) -> np.ndarray:
+        """The theta1 Fourier sum S(z') = sum_k a_k p^k expm1(2 pi i (2k + 1) z'), p = exp(i pi (tau' - 2 z')),
+        at each entry z' of an array of centred points (``_centred``), in one array pass:
+        theta1(z' | tau') = -i q^(1/4) exp(-i pi z') S(z').
 
-        x = exp(2 pi i z') and p = exp(i pi (tau' - 2 z')) at a centred point z' (``_centred``)
-        have modulus <= 1, so no term over- or underflows at any Im tau.  S = (x - 1) +
-        (x A(q x) - A(p)) with A(t) = sum_(k>=1) a_k t^k in Horner form, since p^k x^(2k+1) = x (q x)^k.
+        Horner in p over k = K-1, ..., 0.  Since 0 <= Im z' <= Im tau'/2, |p| <= 1 and every expm1 factor
+        has modulus at most 2, so no term over- or underflows at any Im tau, and no term cancels: S keeps
+        its relative accuracy as z' -> 0, where x^(2k+1) - 1 with x = exp(2 pi i z') loses digits.
         """
-        nome, fourier = self._nome, self._fourier
-        sums = []
-        for x, p in powers:
-            u, high, low = nome * x, 0j, 0j
-            for a, _ in fourier:
-                high = (high + a) * u
-                low = (low + a) * p
-            sums.append((x - 1.0) + (x * high - low))
-        return sums
+        phase = 2j * math.pi * centred
+        p = np.exp(1j * math.pi * self._reduced_tau - phase)
+        total = 0j
+        for k, (a, _) in zip(range(len(self._fourier), 0, -1), self._fourier):
+            total = (total + a * np.expm1((2 * k + 1) * phase)) * p
+        return total + np.expm1(phase)
 
-    def _kernel_values(self, centred: np.ndarray) -> list[float]:
-        """g_tau(w) = g_tau'(s*w) + C, C = -1/2 sum log|tau_k|, for each difference w = P - Q.
+    def _kernel_values(self, centring: np.ndarray) -> np.ndarray:
+        """g_tau(w) = g_tau'(s*w) + C, C = -1/2 sum log|tau_k|, at each entry of an array of centrings (``_centred``).
 
-        The kernel of the reduced modulus is even and doubly periodic, so it is taken at the
-        centred point z' of s*w (``_centred``), 0 <= Im z' <= Im tau'/2, the entries of ``centred``:
+        The kernel of the reduced modulus is even and doubly periodic, so it is taken at the centred point z',
+        0 <= Im z' <= Im tau'/2, over the whole array:
             g_tau'(z') = log|S(z')| + pi Im z' (1 - Im z'/Im tau') - pi Im tau'/4,
-        as theta1(z' | tau') = -i q^(1/4) exp(-i pi z') S(z'), S the sum of ``_series``.
+        S the sum of ``_series``, whose relative accuracy near z' = 0 makes the kernel exact to rounding
+        near the diagonal.
         """
-        height, constant, log, pi = self._reduced_tau.imag, self._kernel_constant, math.log, math.pi
-        exp, two_pi_i, pi_i_tau = cmath.exp, 2j * math.pi, 1j * math.pi * self._reduced_tau
-        phases = [two_pi_i * z for z in centred.tolist()]
-        sums = self._series(zip(map(exp, phases), map(exp, [pi_i_tau - phase for phase in phases])))
-        return [log(abs(s)) + pi * im * (1.0 - im / height) + constant for im, s in zip(centred.imag.tolist(), sums)]
+        z = centring["z"]
+        im = z.imag
+        gaussian = math.pi * im * (1.0 - im / self._reduced_tau.imag)
+        return np.log(np.abs(self._series(z))) + gaussian + self._kernel_constant
 
     def _log_derivative_sum(self, nodes: np.ndarray, items) -> np.ndarray:
         """sum_P n_P (theta1'/theta1)(z - P | tau) at each node z, over (P, n_P) items, in this torus's coordinates.
@@ -347,9 +355,10 @@ class Torus(CurveModel):
         weight = sum(coeffs)
         moment = sum(coeff * point for coeff, point in zip(coeffs, points.tolist()))
         # numpy's complex subtraction rounds each part as Python's complex ``-`` does
-        centred, shifts, _, flips = self._centred(nodes[:, None] - points)
+        centring = self._centred(nodes[:, None] - points)
+        rows = (centring[field].tolist() for field in ("z", "n", "odd"))
         sums = []
-        for z, row, row_shifts, row_flips in zip(nodes.tolist(), centred.tolist(), shifts.tolist(), flips.tolist()):
+        for z, row, row_shifts, row_flips in zip(nodes.tolist(), *rows):
             total = 0j
             for coeff, w, n, odd in zip(coeffs, row, row_shifts, row_flips):
                 phase = two_pi_i * w
@@ -365,29 +374,26 @@ class Torus(CurveModel):
             sums.append(scale * (1j * math.pi * total) + slope * (weight * z - moment))
         return np.array(sums, dtype=complex)
 
-    def _theta1_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(L, S) with theta1(w | tau) = exp(L) S at each entry of the 1-D complex array w.
+    def _theta1_parts(self, centring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(L, S) with theta1(w | tau) = exp(L) S at each entry of a 1-D array of centrings (``_centred``).
 
         theta1(w | tau) = exp(c + a w^2) theta1(s w | tau') (``_reduce_modulus``) and, with
-        s w = (-1)^odd z' + m + n tau' from one ``_centred`` pass and S the sum of ``_series``,
+        s w = (-1)^odd z' + m + n tau' and S the sum of ``_series``,
             theta1(s w) = (-1)^(m + n + odd) exp(-i pi n (n tau' + 2 (-1)^odd z')) theta1(z'),
             theta1(z') = -i exp(i pi tau'/4 - i pi z') S(z'),
-        by theta1(z + 1) = -theta1(z), theta1(z + tau) = -exp(-i pi tau - 2 pi i z) theta1(z), oddness.
+        by theta1(z + 1) = -theta1(z), theta1(z + tau) = -exp(-i pi tau - 2 pi i z) theta1(z), oddness;
+        both over the whole array.
         """
-        tau, pi_i, log_constant, half_slope = self._reduced_tau, 1j * math.pi, self._log_constant, 0.5 * self._slope
-        centred, shifts, offsets, flips = (part.tolist() for part in self._centred(w))
-        scales = []
-        for v, z, n, m, odd in zip(w.tolist(), centred, shifts, offsets, flips):
-            log_scale = log_constant + half_slope * v * v + pi_i * (m + n + odd - 0.5 + 0.25 * tau - z)
-            if n:
-                log_scale -= pi_i * n * (n * tau + 2.0 * (-z if odd else z))
-            scales.append(log_scale)
-        sums = self._series((cmath.exp(2.0 * pi_i * z), cmath.exp(pi_i * (tau - 2.0 * z))) for z in centred)
-        return np.array(scales, dtype=complex), np.array(sums, dtype=complex)
+        tau, pi_i = self._reduced_tau, 1j * math.pi
+        w, z, n, m, odd = (centring[field] for field in ("w", "z", "n", "m", "odd"))
+        scales = (self._log_constant + 0.5 * self._slope * w * w
+                  + pi_i * (m + n + odd - 0.5 + 0.25 * tau - z)
+                  - pi_i * n * (n * tau + 2.0 * np.where(odd, -z, z)))
+        return scales, self._series(z)
 
-    def _log_factors(self, differences: np.ndarray) -> np.ndarray:
+    def _log_factors(self, centring: np.ndarray) -> np.ndarray:
         """log theta1(w | tau) = L + log S (``_theta1_parts``), finite wherever S is nonzero."""
-        scales, sums = self._theta1_parts(differences)
+        scales, sums = self._theta1_parts(centring)
         return scales + np.log(sums)
 
 
@@ -441,7 +447,8 @@ def theta1(z: complex, tau: complex) -> complex:
     DomainError where |theta1| leaves the float range, as far off the real axis of a
     thin torus; its logarithm L + log S stays finite there.
     """
-    scale, series = Torus(tau)._theta1_parts(np.array([complex(z)]))
+    torus = Torus(tau)
+    scale, series = torus._theta1_parts(torus._centred(np.array([complex(z)])))
     return _exp_in_range(scale.item(), "theta1") * series.item()
 
 
@@ -490,7 +497,7 @@ def kernel_matrix(curve: CurveModel, left, right) -> tuple[np.ndarray, np.ndarra
     (len(left), len(right)): the kernel values, the curve distances
     ``point_distance(P_i, Q_j)`` and the mask of entries where the kernel is
     defined, all from one reduction per call (``curve._reduce_pairs``: on the
-    torus the centred points, from which the lattice distance is taken).  A
+    torus the centring, from whose points the lattice distance is taken).  A
     pair that coincides (distance below the curve's point tolerance) or
     involves the sphere's point at infinity (infinite distance) is masked,
     never evaluated, and its kernel entry is 0; the defined entries are

@@ -35,9 +35,6 @@ __all__ = [
     "MarkedCurve",
     "ComplexDivisor",
     "ClassDescriptor",
-    "divisor_add",
-    "divisor_scale",
-    "degree",
     "class_invariant",
 ]
 
@@ -331,6 +328,7 @@ class ComplexDivisor:
     # --- queries ---------------------------------------------------------
 
     def degree(self) -> int:
+        """Total degree; exactly an integer by the divisor invariant."""
         return self._degree
 
     def is_empty(self) -> bool:
@@ -404,6 +402,11 @@ class ComplexDivisor:
         return self + (-other)
 
     def scale(self, alpha) -> "ComplexDivisor":
+        """Multiply every coefficient by alpha.
+
+        Non-integer alpha requires the support to lie in the marked set, and
+        the scaled degree must remain exactly integral.
+        """
         alpha = GaussianRational.coerce(alpha)
         if self.integral and not alpha.is_integer():
             raise NonIntegralCoefficientError()
@@ -471,25 +474,6 @@ def _canonical(mc, marked, integral, marked_degree, degree) -> ComplexDivisor:
     d = object.__new__(ComplexDivisor)
     _fill_divisor(d, mc, marked, integral, marked_degree, degree)
     return d
-
-
-def divisor_add(a: ComplexDivisor, b: ComplexDivisor) -> ComplexDivisor:
-    """Coefficient-wise sum of two divisors over the same marked curve."""
-    return a + b
-
-
-def divisor_scale(alpha, d: ComplexDivisor) -> ComplexDivisor:
-    """Multiply every coefficient by alpha.
-
-    Non-integer alpha requires the support to lie in the marked set, and
-    the scaled degree must remain exactly integral.
-    """
-    return d.scale(alpha)
-
-
-def degree(d: ComplexDivisor) -> int:
-    """Total degree; exactly an integer by the divisor invariant."""
-    return d.degree()
 
 
 class ClassDescriptor:

@@ -147,12 +147,12 @@ class RationalFunctionData:
 
     def _log_values(self, points: list[CurvePoint], clearance: float | None = None) -> np.ndarray:
         """log f(P_i) = log C - 2 pi i n P_i + sum_j m_j F(P_i - Q_j) on some branch, one matrix over
-        the points x ``divisor_points`` with the curve's log factor F (``_log_factors``), n = 0 on
-        the sphere, whose infinity enters no sum (``kernel_matrix``'s mask).  -inf where P_i
-        coincides with a zero (``points_equal``), DomainError at a pole; DisjointSupportError
-        where P_i lies within ``clearance`` of either."""
+        the points x ``divisor_points`` with the curve's log factor F (``_log_factors``), read off the
+        one ``_reduce_pairs`` pass that gives the distances; n = 0 on the sphere, whose infinity enters
+        no sum (``kernel_matrix``'s mask).  -inf where P_i coincides with a zero (``points_equal``),
+        DomainError at a pole; DisjointSupportError where P_i lies within ``clearance`` of either."""
         curve, divisor = self.curve, self.divisor_points()
-        distance = curve._reduce_pairs(points, [q for q, _ in divisor])[0]
+        distance, reduced = curve._reduce_pairs(points, [q for q, _ in divisor])
         if clearance is not None and (distance <= clearance).any():
             raise DisjointSupportError()
         mults = np.array([m for _, m in divisor], dtype=float)
@@ -162,7 +162,7 @@ class RationalFunctionData:
         z = np.array([p.z for p in points], dtype=complex)
         defined = (distance >= curve.point_tol) & (distance < math.inf)
         factors = np.zeros(distance.shape, dtype=complex)
-        factors[defined] = curve._log_factors((z[:, None] - np.array([q.z for q, _ in divisor]))[defined])
+        factors[defined] = curve._log_factors(reduced[defined])
         values = cmath.log(self.leading_constant) - 2j * math.pi * self._tau_winding * z + factors @ mults
         values[order > 0] = -math.inf
         return values

@@ -1,0 +1,32 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LAYERS = {
+    "theta1_us",
+    "theta1_log_derivative_us",
+    "green_kernel_us",
+    "kernel_matrix_32_us",
+    *(f"pairing_norm_{curve}_{n}_us" for curve in ("sphere", "torus") for n in (8, 32, 128)),
+    "certificate_us",
+    "string_pairing_factor_32_us",
+    "cli_cold_start_ms",
+}
+
+
+def test_bench_layers_quick_run_records_every_layer(tmp_path):
+    out = tmp_path / "bench.json"
+    script = ROOT / "tools" / "bench_layers.py"
+    subprocess.run([sys.executable, str(script), "--quick", "--out", str(out)], check=True, timeout=120)
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert set(record) == {"machine", "method", "mode", "trees"}
+    assert {"cores", "python", "numpy"} <= set(record["machine"])
+    assert record["mode"] == "quick"
+    assert set(record["trees"]) == {"head"}
+    head = record["trees"]["head"]
+    assert set(head) == {"commit", "uncommitted_changes", "layers"}
+    assert set(head["layers"]) == LAYERS
+    assert all(value > 0 for value in head["layers"].values())

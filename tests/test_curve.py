@@ -215,7 +215,9 @@ def test_theta1_log_derivative_pole_is_a_diagonal_singularity():
 
 
 # Scalar references: the centring and the Fourier-series loops, one Python
-# complex at a time.  The array evaluators must equal them bit for bit.
+# complex at a time.  The array centring and the log-derivative sum must equal
+# them bit for bit; the kernel and theta1, summed in expm1 form over whole
+# arrays, agree with them to a few ulps (ULPS).
 
 
 def scalar_centre(torus, w):
@@ -278,6 +280,18 @@ def scalar_theta1(torus, w):
     return cmath.exp(log_scale) * ((x - 1.0) + (x * high - low))
 
 
+def log_scale_magnitude(torus, w):
+    """1 + the moduli of the parts of L in theta1 = exp(L) S (``scalar_theta1``): rounding moves L,
+    and so theta1 relatively, by a few ulps of this."""
+    tau = torus._reduced_tau
+    z, n, m, _ = scalar_centre(torus, w)
+    lattice = abs(m) + abs(n) + 1 + abs(tau) + abs(z) + abs(n) * (abs(n * tau) + 2 * abs(z))
+    return 1 + abs(torus._log_constant) + abs(0.5 * torus._slope * w * w) + math.pi * lattice
+
+
+ULPS = 8 * 2.0 ** -52
+
+
 def outcome(f, *args):
     """f(*args), or OverflowError where it leaves the float range: the library raises
     DomainError there, the scalar reference cmath's OverflowError."""
@@ -302,10 +316,15 @@ def test_array_centring_equals_the_scalar_loops_bit_for_bit(tau):
     for i, p in enumerate(points):
         for j, q in enumerate(points[::-1]):
             if defined[i, j]:
-                assert kernel[i, j] == scalar_kernel(torus, p - q)
+                expected = scalar_kernel(torus, p - q)
+                assert abs(kernel[i, j] - expected) <= ULPS * max(1.0, abs(expected))
     for z in points[:-4]:
         # theta1 itself leaves the float range far off the real axis of a thin torus
-        assert outcome(theta1, z, tau) == outcome(scalar_theta1, torus, z)
+        expected = outcome(scalar_theta1, torus, z)
+        if expected is OverflowError:
+            assert outcome(theta1, z, tau) is OverflowError
+        else:
+            assert abs(theta1(z, tau) - expected) <= ULPS * log_scale_magnitude(torus, z) * abs(expected)
         assert theta1_log_derivative(z, tau) == scalar_log_derivative_sum(torus, z, ((0j, 1),))
     items = list(zip(points[:4], (2, -1, 1j, -1 - 1j)))
     nodes = points[4:]
@@ -741,6 +760,34 @@ def test_theta1_log_derivative_matches_extended_precision_at_small_im_tau(low, h
             error = abs(theta1_log_derivative(z, tau) - complex(reference))
             worst = max(worst, error / max(1.0, float(abs(reference))))
     assert worst < bound
+
+
+@pytest.mark.parametrize("modulus", [2e-9, 1e-7, 1e-5, 1e-3, 1e-2])
+def test_torus_kernel_is_exact_to_rounding_near_the_diagonal(modulus):
+    # the series in expm1 form does not cancel as w -> 0; summed from x = exp(2 pi i w'), its
+    # x - 1 and x^(2k + 1) - 1 left errors of 1.2e-10 at |w| = 1e-7 and 3.8e-9 at |w| = 2e-9
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(67)
+    with mpmath.workdps(50):
+        for _ in range(30):
+            tau = random_tau(rng)
+            q = rng.uniform(-1, 1) + rng.uniform(-1, 1) * tau
+            p = q + cmath.rect(modulus, rng.uniform(-math.pi, math.pi))
+            reference = float(mpmath_kernel(mpmath, p, q, tau))
+            assert abs(green_kernel(Torus(tau), p, q) - reference) <= 1e-13
+
+
+@pytest.mark.parametrize("modulus", [1e-9, 1e-7, 1e-5, 1e-3])
+def test_theta1_is_exact_to_rounding_near_its_zero(modulus):
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(71)
+    with mpmath.workdps(50):
+        for _ in range(30):
+            # jtheta takes q^(1/4) on the principal branch, which is exp(i pi tau/4) for |Re tau| < 1
+            tau = random_tau(rng, real=0.95, low=0.2)
+            w = cmath.rect(modulus, rng.uniform(-math.pi, math.pi))
+            reference = complex(mpmath.jtheta(1, mpmath.pi * w, mpmath.exp(1j * mpmath.pi * tau)))
+            assert abs(theta1(w, tau) - reference) <= 1e-13 * abs(reference)
 
 
 @pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j)])

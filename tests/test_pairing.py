@@ -1,7 +1,9 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import divpair.curve
@@ -145,6 +147,47 @@ def test_weil_symbol_beyond_the_float_range_is_a_domain_error():
         weil_symbol(f, g.divisor())
     # both symbols are near 1e2400; their logs still compare
     assert check_weil_reciprocity(f, g) < 1e-9
+
+
+def unshared_log_values(f, points):
+    """log f(P_i) as ``_log_values`` forms it, with the log factors taken from a second
+    centring of the differences P_i - Q_j; every P_i away from every zero and pole."""
+    curve, divisor = f.curve, f.divisor_points()
+    z = np.array([p.z for p in points], dtype=complex)
+    differences = z[:, None] - np.array([q.z for q, _ in divisor])
+    factors = curve._log_factors(curve._centred(differences.ravel())).reshape(differences.shape)
+    mults = np.array([m for _, m in divisor], dtype=float)
+    return cmath.log(f.leading_constant) - 2j * math.pi * f._tau_winding * z + factors @ mults
+
+
+def test_function_values_centre_each_difference_once(monkeypatch):
+    # f(P) and the Weil symbol read their log factors off the centring of the one
+    # _reduce_pairs pass that gives their distances, with a second centring's values
+    t = Torus(0.2 + 1.3j)
+    z1, z2, p1 = 0.21 + 0.33j, 0.52 + 0.11j, 0.4 + 0.62j
+    f = RationalFunctionData.from_zeros_poles(t, [z1, z2], [p1, z1 + z2 - p1 + 1 - t.tau], 2 - 1j)
+    w1, w2, q1 = 0.72 + 0.8j, 0.13 + 0.71j, 0.6 + 0.24j
+    d = RationalFunctionData.from_zeros_poles(t, [w1, w2], [q1, w1 + w2 - q1]).divisor(MarkedCurve(t))
+    points = [t.reduce_point(p) for p in (0.9 + 0.05j, 1.7 - 2.1j, 0.35 + 1.2j)]
+    support = d.support_items()
+    expected = unshared_log_values(f, points)
+    symbol = complex(np.array([n for _, n in support], dtype=complex) @ unshared_log_values(f, [q for q, _ in support]))
+    shapes = []
+    centred = Torus._centred
+
+    def counting(self, w):
+        shapes.append(w.shape)
+        return centred(self, w)
+
+    monkeypatch.setattr(Torus, "_centred", counting)
+    assert f._log_values(points).tolist() == expected.tolist()
+    for point in points:
+        shapes.clear()
+        f(point)
+        assert shapes == [(1, 4)]
+    shapes.clear()
+    assert divpair.pairing._log_weil_symbol(f, d) == symbol
+    assert shapes == [(4, 4)]
 
 
 def test_pairing_exponent_matches_norm():
