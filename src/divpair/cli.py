@@ -325,6 +325,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
+def _case_count(text: str) -> int:
+    cases = int(text)
+    if cases < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cases}")
+    return cases
+
+
 def _add_curve_flags(sub, marks: bool = True):
     sub.add_argument("--curve", choices=("sphere", "torus"), required=True)
     sub.add_argument("--tau", help="torus modulus, complex literal with Im > 0")
@@ -376,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = commands.add_parser("selftest", help="run the full property suite")
     selftest.add_argument("--seed", type=lambda s: int(s, 0), default=argparse.SUPPRESS)
-    selftest.add_argument("--cases", type=int, default=argparse.SUPPRESS)
+    selftest.add_argument("--cases", type=_case_count, default=argparse.SUPPRESS)
     selftest.set_defaults(handler=_cmd_selftest)
 
     return parser

@@ -423,21 +423,14 @@ class ComplexDivisor:
         return _canonical(self.mc, marked, integral, marked_degree, total._a)
 
     def __eq__(self, other):
+        """Equality in the divisor group: on compatible contexts, the difference is empty."""
         if not isinstance(other, ComplexDivisor):
             return NotImplemented
-        if not self.mc.compatible_with(other.mc):
-            return False
-        if self.marked != other.marked:
-            return False
-        if len(self.integral) != len(other.integral):
-            return False
-        return all(
-            w1 == w2 and self.mc.curve.points_equal(p1, p2)
-            for (p1, w1), (p2, w2) in zip(self.integral, other.integral)
-        )
+        return self.mc.compatible_with(other.mc) and (self - other).is_empty()
 
     def __hash__(self):
-        return hash((self.marked, tuple(w for _, w in self.integral)))
+        # independent of the order of the points, which can differ between equal divisors
+        return hash((self.marked, tuple(sorted(w for _, w in self.integral))))
 
     def __repr__(self):
         terms = [f"({coeff})@Q{i + 1}" for i, coeff in self.marked]

@@ -125,17 +125,19 @@ def expansion_multiply(a: LocalExpansion, b: LocalExpansion) -> LocalExpansion:
     return LocalExpansion(exponent, n0, tuple(product))
 
 
-def multiplicator(mc: MarkedCurve, d: ComplexDivisor, index: int) -> complex:
-    """Loop multiplicator exp(2*pi*i*n) for the divisor coefficient n at mark `index`.
-
-    The real part of the coefficient is reduced mod 1 exactly before
-    exponentiating, so integral coefficients give exactly 1.0.
-    """
-    re_num, im_num, den = d.marked_coefficient(index).triple
+def _exp_two_pi_i(n: GaussianRational) -> complex:
+    """exp(2*pi*i*n), with Re n reduced mod 1 exactly first, so an integral n gives exactly 1+0j."""
+    re_num, im_num, den = n.triple
     frac_num = re_num % den  # Re n - floor(Re n) = frac_num / den
     if frac_num == 0 and im_num == 0:
         return 1.0 + 0j
     return cmath.exp(complex(-2.0 * math.pi * (im_num / den), 2.0 * math.pi * (frac_num / den)))
+
+
+def multiplicator(mc: MarkedCurve, d: ComplexDivisor, index: int) -> complex:
+    """Loop multiplicator exp(2*pi*i*n) for the divisor coefficient n at mark `index`;
+    exactly 1.0 for an integral n (``_exp_two_pi_i``)."""
+    return _exp_two_pi_i(d.marked_coefficient(index))
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,8 +163,7 @@ class GlueingData:
 def glueing_data(mc: MarkedCurve, d: ComplexDivisor) -> GlueingData:
     values = tuple(multiplicator(mc, d, i) for i in range(mc.n_marks))
     product = math.prod(values, start=1.0 + 0j)
-    re_num, im_num, den = d.marked_degree().triple
-    expected = cmath.exp(complex(-2.0 * math.pi * (im_num / den), 2.0 * math.pi * (re_num / den)))
+    expected = _exp_two_pi_i(d.marked_degree())
     return GlueingData(
         multiplicators=values,
         inner_chart="neighborhood of the marked disk",

@@ -11,6 +11,7 @@ environment variable.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 import time
@@ -35,6 +36,7 @@ from .divisor import (
     _reduced,
     class_invariant,
 )
+from .errors import DomainError
 from .mvf import (
     LocalExpansion,
     expansion_multiply,
@@ -98,6 +100,7 @@ class _Ctx:
             np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(name.encode())])
         )
         self.cases = cases
+        self.case = 0  # index of the case being run, set by the property runner
 
 
 def _random_tau(rng: random.Random) -> complex:
@@ -106,6 +109,23 @@ def _random_tau(rng: random.Random) -> complex:
 
 def _random_curve(rng: random.Random):
     return Torus(_random_tau(rng)) if rng.random() < 0.5 else Sphere()
+
+
+def _apart(curve, points, others, gap: float) -> bool:
+    """Whether every point of ``points`` is at least ``gap`` from every point of ``others``."""
+    return all(curve.point_distance(p, q) >= gap for p in points for q in others)
+
+
+def _draw_apart(draw_first, draw_second, apart):
+    """A first and a second draw with ``apart(first, second)``: the second is redrawn
+    until it is apart from the first, and the first after every 50 failed tries."""
+    first = draw_first()
+    while True:
+        for _ in range(50):
+            second = draw_second()
+            if apart(first, second):
+                return first, second
+        first = draw_first()
 
 
 def _random_points(rng: random.Random, curve, count: int, min_gap: float | None = None,
@@ -122,7 +142,7 @@ def _random_points(rng: random.Random, curve, count: int, min_gap: float | None 
             z = curve.from_lattice_coords(rng.uniform(0.05, box), rng.uniform(0.05, box))
         else:
             z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if all(curve.point_distance(z, p) >= min_gap for p in points):
+        if _apart(curve, [z], points, min_gap):
             points.append(z)
     return points
 
@@ -135,7 +155,7 @@ def _point_away(rng: random.Random, curve, points, gap: float) -> complex | None
             z = curve.from_lattice_coords(rng.uniform(0, 1), rng.uniform(0, 1))
         else:
             z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-        if all(curve.point_distance(z, p) >= gap for p in points):
+        if _apart(curve, [z], points, gap):
             return z
     return None
 
@@ -231,24 +251,33 @@ def _torus_rational_pair(rng: random.Random, torus: Torus):
         g_zeros = pts[2 * nf - 1:2 * nf - 1 + ng]
         g_poles = pts[2 * nf - 1 + ng:2 * (nf + ng) - 2]
         g_poles.append(sum(g_zeros) - sum(g_poles))
-        support = [(p, 0) for p in f_zeros + f_poles]
-        others = g_zeros + g_poles
-        ok = all(
-            torus.lattice_defect(p - q) >= 0.05 for p, _ in support for q in others
-        )
-        ok = ok and all(
-            torus.lattice_defect(f_poles[-1] - q) >= 0.05
-            for q in f_zeros + f_poles[:-1]
-        )
-        ok = ok and all(
-            torus.lattice_defect(g_poles[-1] - q) >= 0.05
-            for q in g_zeros + g_poles[:-1]
-        )
-        if not ok:
+        if (
+            _apart(torus, f_zeros + f_poles, g_zeros + g_poles, 0.05)
+            and _apart(torus, f_poles[-1:], f_zeros + f_poles[:-1], 0.05)
+            and _apart(torus, g_poles[-1:], g_zeros + g_poles[:-1], 0.05)
+        ):
+            f = RationalFunctionData.from_zeros_poles(torus, f_zeros, f_poles)
+            g = RationalFunctionData.from_zeros_poles(torus, g_zeros, g_poles)
+            return f, g
+
+
+def _principal_marked_pair(rng: random.Random, torus: Torus):
+    """Marks (Qa, Qb) and coefficient c with c*(Qa - Qb) exactly a lattice point."""
+    while True:
+        c = _random_gaussian_rational(rng, max_num=2, max_den=2)
+        if c.is_zero():
             continue
-        f = RationalFunctionData.from_zeros_poles(torus, f_zeros, f_poles)
-        g = RationalFunctionData.from_zeros_poles(torus, g_zeros, g_poles)
-        return f, g
+        lam = rng.choice([1.0 + 0j, -1.0 + 0j, torus.tau, -torus.tau, 1.0 + torus.tau])
+        qa = torus.from_lattice_coords(rng.uniform(0.1, 0.8), rng.uniform(0.1, 0.8))
+        qb = qa - lam / c.to_complex()
+        a, b = torus.lattice_coords(qb)
+        if 0.05 <= a <= 0.85 and 0.05 <= b <= 0.85 and torus.lattice_defect(qa - qb) > 0.08:
+            return qa, qb, c
+
+
+def _three_point_principal(mc: MarkedCurve, p: complex, q: complex) -> ComplexDivisor:
+    """The principal divisor 2P - Q - R with R = 2P - Q."""
+    return ComplexDivisor(mc, integral=[(p, 2), (q, -1), (2 * p - q, -1)])
 
 
 def _random_unitary(np_rng, n: int) -> np.ndarray:
@@ -285,161 +314,12 @@ def _random_momentum_config(rng: random.Random, np_rng, n: int) -> MomentumConfi
     return base.apply_unitary(_random_unitary(np_rng, DIMENSION))
 
 
-# --- property checks -------------------------------------------------------
-
-
-def _check_kernel_symmetry(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(ctx.cases):
-        curve = _random_curve(ctx.rng)
-        p, q = _random_points(ctx.rng, curve, 2)
-        worst = max(worst, abs(green_kernel(curve, p, q) - green_kernel(curve, q, p)))
-    return worst
-
-
-def _check_torus_periodicity(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(max(1, ctx.cases // 10)):
-        torus = Torus(_random_tau(ctx.rng))
-        p, q = _random_points(ctx.rng, torus, 2)
-        base = green_kernel(torus, p, q)
-        for m in range(-2, 3):
-            for n in range(-2, 3):
-                shifted = green_kernel(torus, p + m + n * torus.tau, q)
-                worst = max(worst, abs(shifted - base))
-    return worst
-
-
-def _check_harmonicity(ctx: _Ctx) -> float:
-    # five-point Laplacian at h = 1e-3; the stencil bias of a log kernel is
-    # ~ h^2 / r^4 per unit weight, so +-1 weights at r >= 0.45 keep the
-    # worst bias near 5e-5, half the 1e-4 threshold
-    h = 1e-3
-    worst = 0.0
-    for _ in range(max(1, ctx.cases // 5)):
-        curve = _random_curve(ctx.rng)
-        pts = _random_points(ctx.rng, curve, 2, min_gap=0.12 if isinstance(curve, Torus) else None)
-        weights = [1, -1]
-        mc = MarkedCurve(curve)
-        d = ComplexDivisor(mc, integral=list(zip(pts, weights)))
-        z = _point_away(ctx.rng, curve, pts, 0.45)
-        if z is None:
-            continue
-        values = [
-            green_divisor(curve, d, z + dz).real
-            for dz in (h, -h, 1j * h, -1j * h)
-        ]
-        center = green_divisor(curve, d, z).real
-        laplacian = (sum(values) - 4.0 * center) / (h * h)
-        worst = max(worst, abs(laplacian))
-    return worst
-
-
-def _check_sphere_invariance(ctx: _Ctx) -> float:
-    sphere = Sphere()
-    mc = MarkedCurve(sphere)
-    worst = 0.0
-    for _ in range(ctx.cases):
-        pts = _random_points(ctx.rng, sphere, 3)
-        weights = _zero_sum_integers(ctx.rng, 3)
-        d = ComplexDivisor(mc, integral=list(zip(pts, weights)))
-        z = _point_away(ctx.rng, sphere, pts, 0.2)
-        if z is None:
-            continue
-        base = green_divisor(sphere, d, z)
-        shift = complex(ctx.rng.uniform(-2, 2), ctx.rng.uniform(-2, 2))
-        translated = ComplexDivisor(
-            mc, integral=[(p + shift, w) for p, w in zip(pts, weights)]
-        )
-        worst = max(worst, abs(green_divisor(sphere, translated, z + shift) - base))
-        factor = complex(ctx.rng.uniform(0.5, 2.0), ctx.rng.uniform(-1.0, 1.0))
-        scaled = ComplexDivisor(
-            mc, integral=[(p * factor, w) for p, w in zip(pts, weights)]
-        )
-        worst = max(worst, abs(green_divisor(sphere, scaled, z * factor) - base))
-    return worst
-
-
-def _check_green_linearity(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(ctx.cases):
-        mc, d1, d2 = _pairing_instance(ctx.rng)
-        curve = mc.curve
-        both = d1 + d2
-        # the sphere's distance to infinity is infinite, so infinity never blocks a draw
-        z = _point_away(ctx.rng, curve, both.support_points(), 0.1)
-        if z is None:
-            continue
-        total = green_divisor(curve, both, z)
-        split = green_divisor(curve, d1, z) + green_divisor(curve, d2, z)
-        worst = max(worst, abs(total - split))
-    return worst
-
-
-def _check_theta_quasi_periodicity(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(ctx.cases):
-        tau = _random_tau(ctx.rng)
-        z = complex(ctx.rng.uniform(-1.5, 1.5), ctx.rng.uniform(-1.0, 1.0))
-        base = theta1(z, tau)
-        scale = max(abs(base), 1e-300)
-        worst = max(worst, abs(theta1(z + 1, tau) + base) / scale)
-        factor = -cmath.exp(-1j * math.pi * tau - 2j * math.pi * z)
-        worst = max(
-            worst, abs(theta1(z + tau, tau) - factor * base) / max(abs(factor * base), 1e-300)
-        )
-    return worst
-
-
-def _check_divisor_group_laws(ctx: _Ctx) -> float:
-    failures = 0
-    for _ in range(ctx.cases):
-        mc, d1, d2 = _pairing_instance(ctx.rng)
-        d3 = -(d1 + d2)
-        zero = mc.empty_divisor()
-        if (d1 + d2) + d3 != d1 + (d2 + d3):
-            failures += 1
-        if d1 + zero != d1 or zero + d1 != d1:
-            failures += 1
-        if not (d1 + (-d1)).is_empty():
-            failures += 1
-    return float(failures)
-
-
-def _check_scale_multiplicative(ctx: _Ctx) -> float:
-    failures = 0
-    for _ in range(ctx.cases):
-        _, d1, _ = _pairing_instance(ctx.rng, marked_only=True)
-        alpha = _random_gaussian_rational(ctx.rng)
-        beta = _random_gaussian_rational(ctx.rng)
-        if d1.scale(alpha * beta) != d1.scale(beta).scale(alpha):
-            failures += 1
-    return float(failures)
-
-
-def _check_degree_homomorphism(ctx: _Ctx) -> float:
-    failures = 0
-    for _ in range(ctx.cases):
-        _, d1, d2 = _pairing_instance(ctx.rng)
-        if (d1 + d2).degree() != d1.degree() + d2.degree():
-            failures += 1
-    return float(failures)
-
-
-def _check_class_additivity(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(ctx.cases):
-        mc, d1, d2 = _pairing_instance(ctx.rng)
-        combined = class_invariant(mc, d1 + d2)
-        expected = class_invariant(mc, d1).combine(class_invariant(mc, d2))
-        if combined.degree != expected.degree:
-            return math.inf
-        if combined.jacobian is not None:
-            worst = max(
-                worst,
-                mc.curve.lattice_defect(combined.jacobian - expected.jacobian),
-            )
-    return worst
+def _string_instance(ctx: _Ctx):
+    """A curve with 2 to 4 marks and an on-shell momentum configuration on them."""
+    curve = _random_curve(ctx.rng)
+    n = ctx.rng.randint(2, 4)
+    mc = MarkedCurve(curve, _random_points(ctx.rng, curve, n))
+    return mc, _random_momentum_config(ctx.rng, ctx.np_rng, n)
 
 
 def _dyadic(rng: random.Random, grid: int = 1024) -> float:
@@ -458,299 +338,345 @@ def _random_expansion(rng: random.Random) -> LocalExpansion:
     return LocalExpansion(a, n0, tuple(coeffs))
 
 
-def _check_order_additivity(ctx: _Ctx) -> float:
-    failures = 0
-    for _ in range(ctx.cases):
-        a = _random_expansion(ctx.rng)
-        b = _random_expansion(ctx.rng)
-        product = expansion_multiply(a, b)
-        if order(product) != order(a) + order(b):
-            failures += 1
-        renorm = normalize_expansion(
-            product.branch_exponent, product.leading_index, product.coeffs
-        )
-        if renorm != product:
-            failures += 1
-    return float(failures)
+# --- property checks -------------------------------------------------------
 
 
-def _check_witness_residues(ctx: _Ctx) -> float:
+def _property(*, per: int = 1, least: int = 1, count: bool = False):
+    """Make a one-case check into the property check ``(ctx) -> float``.
+
+    The property runs ``max(least, ctx.cases // per)`` cases, the index of the
+    current one in ``ctx.case``.  Each case returns its residual, or with
+    ``count`` its number of failures (a skipped case returns 0); the property
+    is the largest residual, or the total number of failures.  The first case
+    whose result is not finite ends the property at inf, so a NaN fails
+    instead of vanishing in ``max(0.0, nan) == 0.0``.
+    """
+    def wrap(case):
+        @functools.wraps(case)
+        def check(ctx: _Ctx) -> float:
+            total = 0.0
+            for index in range(max(least, ctx.cases // per)):
+                ctx.case = index
+                result = case(ctx)
+                if not math.isfinite(result):
+                    return math.inf
+                total = total + result if count else max(total, result)
+            return total
+        return check
+    return wrap
+
+
+def _largest(*residuals: float) -> float:
+    """The largest of one case's residuals; inf if one is not finite, which ``max`` may drop."""
+    return max(residuals) if all(map(math.isfinite, residuals)) else math.inf
+
+
+@_property()
+def _check_kernel_symmetry(ctx: _Ctx) -> float:
+    curve = _random_curve(ctx.rng)
+    p, q = _random_points(ctx.rng, curve, 2)
+    return abs(green_kernel(curve, p, q) - green_kernel(curve, q, p))
+
+
+@_property(per=10)
+def _check_torus_periodicity(ctx: _Ctx) -> float:
+    torus = Torus(_random_tau(ctx.rng))
+    p, q = _random_points(ctx.rng, torus, 2)
+    base = green_kernel(torus, p, q)
+    return _largest(*(
+        abs(green_kernel(torus, p + m + n * torus.tau, q) - base)
+        for m in range(-2, 3)
+        for n in range(-2, 3)
+    ))
+
+
+@_property(per=5)
+def _check_harmonicity(ctx: _Ctx) -> float:
+    # five-point Laplacian at h = 1e-3; the stencil bias of a log kernel is
+    # ~ h^2 / r^4 per unit weight, so +-1 weights at r >= 0.45 keep the
+    # worst bias near 5e-5, half the 1e-4 threshold
+    h = 1e-3
+    curve = _random_curve(ctx.rng)
+    pts = _random_points(ctx.rng, curve, 2, min_gap=0.12 if isinstance(curve, Torus) else None)
+    d = ComplexDivisor(MarkedCurve(curve), integral=list(zip(pts, (1, -1))))
+    z = _point_away(ctx.rng, curve, pts, 0.45)
+    if z is None:
+        return 0.0
+    values = [green_divisor(curve, d, z + dz).real for dz in (h, -h, 1j * h, -1j * h)]
+    return abs((sum(values) - 4.0 * green_divisor(curve, d, z).real) / (h * h))
+
+
+@_property()
+def _check_sphere_invariance(ctx: _Ctx) -> float:
     sphere = Sphere()
-    failures = 0
-    for _ in range(ctx.cases):
-        count = ctx.rng.randint(1, 4)
-        points = _random_points(ctx.rng, sphere, count)
-        exponents = [_random_gaussian_rational(ctx.rng) for _ in range(count)]
-        orders = power_product_orders(points, exponents)
-        total = GaussianRational(0)
-        for _, e in orders:
-            total = total + e
-        if not total.is_zero():
-            failures += 1
-    return float(failures)
+    mc = MarkedCurve(sphere)
+    pts = _random_points(ctx.rng, sphere, 3)
+    weights = _zero_sum_integers(ctx.rng, 3)
+    d = ComplexDivisor(mc, integral=list(zip(pts, weights)))
+    z = _point_away(ctx.rng, sphere, pts, 0.2)
+    if z is None:
+        return 0.0
+    base = green_divisor(sphere, d, z)
+    shift = complex(ctx.rng.uniform(-2, 2), ctx.rng.uniform(-2, 2))
+    factor = complex(ctx.rng.uniform(0.5, 2.0), ctx.rng.uniform(-1.0, 1.0))
+
+    def moved(f) -> float:
+        image = ComplexDivisor(mc, integral=[(f(p), w) for p, w in zip(pts, weights)])
+        return abs(green_divisor(sphere, image, f(z)) - base)
+
+    return _largest(moved(lambda p: p + shift), moved(lambda p: p * factor))
 
 
-def _check_principal_subgroup(ctx: _Ctx) -> float:
-    failures = 0
-    for case in range(max(1, ctx.cases // 20)):
-        torus = Torus(_random_tau(ctx.rng))
-        if case % 2 == 0:
-            # integer-coefficient principal parts
-            mc = MarkedCurve(torus)
-            parts = []
-            for _ in range(2):
-                pts = _random_points(ctx.rng, torus, 2, box=0.8)
-                third = 2 * pts[0] - pts[1]
-                parts.append(
-                    ComplexDivisor(mc, integral=[(pts[0], 2), (pts[1], -1), (third, -1)])
-                )
-        else:
-            # complex-coefficient principal parts supported on marks
-            qa1, qb1, c1 = _principal_marked_pair(ctx.rng, torus)
-            retries = 0
-            while True:
-                qa2, qb2, c2 = _principal_marked_pair(ctx.rng, torus)
-                if all(
-                    torus.lattice_defect(p - q) > 0.05
-                    for p in (qa1, qb1)
-                    for q in (qa2, qb2)
-                ):
-                    break
-                retries += 1
-                if retries > 50:
-                    qa1, qb1, c1 = _principal_marked_pair(ctx.rng, torus)
-                    retries = 0
-            mc = MarkedCurve(torus, [qa1, qb1, qa2, qb2])
-            parts = [
-                ComplexDivisor(mc, marked={0: c1, 1: -c1}),
-                ComplexDivisor(mc, marked={2: c2, 3: -c2}),
-            ]
-        if not (is_principal(mc, parts[0]).principal and is_principal(mc, parts[1]).principal):
-            failures += 1
-            continue
-        if not is_principal(mc, parts[0] + parts[1]).principal:
-            failures += 1
-    return float(failures)
+@_property()
+def _check_green_linearity(ctx: _Ctx) -> float:
+    mc, d1, d2 = _pairing_instance(ctx.rng)
+    curve = mc.curve
+    both = d1 + d2
+    # the sphere's distance to infinity is infinite, so infinity never blocks a draw
+    z = _point_away(ctx.rng, curve, both.support_points(), 0.1)
+    if z is None:
+        return 0.0
+    split = green_divisor(curve, d1, z) + green_divisor(curve, d2, z)
+    return abs(green_divisor(curve, both, z) - split)
 
 
-def _check_multiplicator_homomorphism(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(ctx.cases):
-        curve = _random_curve(ctx.rng)
-        marks = _random_points(ctx.rng, curve, 3)
-        mc = MarkedCurve(curve, marks)
-        c1 = _zero_sum_coefficients(ctx.rng, 3)
-        c2 = _zero_sum_coefficients(ctx.rng, 3)
-        d1 = ComplexDivisor(mc, marked=list(enumerate(c1)))
-        d2 = ComplexDivisor(mc, marked=list(enumerate(c2)))
-        for i in range(3):
-            combined = multiplicator(mc, d1 + d2, i)
-            split = multiplicator(mc, d1, i) * multiplicator(mc, d2, i)
-            worst = max(worst, abs(combined - split) / max(abs(combined), 1e-300))
-    return worst
+@_property()
+def _check_theta_quasi_periodicity(ctx: _Ctx) -> float:
+    tau = _random_tau(ctx.rng)
+    z = complex(ctx.rng.uniform(-1.5, 1.5), ctx.rng.uniform(-1.0, 1.0))
+    base = theta1(z, tau)
+    factor = -cmath.exp(-1j * math.pi * tau - 2j * math.pi * z)
+    return _largest(
+        abs(theta1(z + 1, tau) + base) / max(abs(base), 1e-300),
+        abs(theta1(z + tau, tau) - factor * base) / max(abs(factor * base), 1e-300),
+    )
 
 
-def _principal_marked_pair(rng: random.Random, torus: Torus):
-    """Marks (Qa, Qb) and coefficient c with c*(Qa - Qb) exactly a lattice point."""
-    while True:
-        c = _random_gaussian_rational(rng, max_num=2, max_den=2)
-        if c.is_zero():
-            continue
-        lam = rng.choice([1.0 + 0j, -1.0 + 0j, torus.tau, -torus.tau, 1.0 + torus.tau])
-        qa = torus.from_lattice_coords(rng.uniform(0.1, 0.8), rng.uniform(0.1, 0.8))
-        qb = qa - lam / c.to_complex()
-        a, b = torus.lattice_coords(qb)
-        if 0.05 <= a <= 0.85 and 0.05 <= b <= 0.85 and torus.lattice_defect(qa - qb) > 0.08:
-            return qa, qb, c
+@_property(count=True)
+def _check_divisor_group_laws(ctx: _Ctx) -> int:
+    mc, d1, d2 = _pairing_instance(ctx.rng)
+    d3 = -(d1 + d2)
+    zero = mc.empty_divisor()
+    return (
+        ((d1 + d2) + d3 != d1 + (d2 + d3))
+        + (d1 + zero != d1 or zero + d1 != d1)
+        + (not (d1 + (-d1)).is_empty())
+    )
 
 
-def _check_class_vs_principal(ctx: _Ctx) -> float:
-    worst = 0.0
-    cases = max(4, ctx.cases // 5)
-    for case in range(cases):
-        torus = Torus(_random_tau(ctx.rng))
-        make_equal = case % 2 == 0
-        if make_equal and ctx.rng.random() < 0.5:
-            qa, qb, c = _principal_marked_pair(ctx.rng, torus)
-            base = _random_points(ctx.rng, torus, 2)
-            retries = 0
-            while any(
-                torus.lattice_defect(p - q) < 0.08 for p in base for q in (qa, qb)
-            ):
-                base = _random_points(ctx.rng, torus, 2)
-                retries += 1
-                if retries > 50:
-                    qa, qb, c = _principal_marked_pair(ctx.rng, torus)
-                    retries = 0
-            mc = MarkedCurve(torus, base + [qa, qb])
-            coeffs = _zero_sum_coefficients(ctx.rng, 2)
-            d1 = ComplexDivisor(mc, marked=list(enumerate(coeffs)))
-            d2 = d1 + ComplexDivisor(mc, marked=[(2, c), (3, -c)])
-        else:
-            marks = _random_points(ctx.rng, torus, 3)
-            mc = MarkedCurve(torus, marks)
-            d1 = ComplexDivisor(mc, marked=list(enumerate(_zero_sum_coefficients(ctx.rng, 3))))
-            if make_equal:
-                pts = _random_points(ctx.rng, torus, 6, box=0.8)[3:]
-                third = 2 * pts[0] - pts[1]
-                if any(torus.lattice_defect(third - m) < 0.08 for m in marks + pts[:2]):
-                    d2 = d1
-                else:
-                    d2 = d1 + ComplexDivisor(
-                        mc, integral=[(pts[0], 2), (pts[1], -1), (third, -1)]
-                    )
-            else:
-                d2 = ComplexDivisor(
-                    mc, marked=list(enumerate(_zero_sum_coefficients(ctx.rng, 3)))
-                )
-                defect = torus.lattice_defect(abel_jacobi_sum(torus, d1 - d2))
-                if defect < 1e-3:  # accidentally equivalent; skip the ambiguous case
-                    continue
-        same_class = class_invariant(mc, d1).matches(class_invariant(mc, d2))
-        cert = is_principal(mc, d1 - d2)
-        if same_class != cert.principal or cert.principal != make_equal:
-            return math.inf
-        if cert.principal:
-            if not cert.periods_integral:
-                return math.inf
-            worst = max(worst, cert.period_defect)
-        elif cert.period_defect < 1e-3:
-            return math.inf
-    return worst
+@_property(count=True)
+def _check_scale_multiplicative(ctx: _Ctx) -> int:
+    _, d1, _ = _pairing_instance(ctx.rng, marked_only=True)
+    alpha = _random_gaussian_rational(ctx.rng)
+    beta = _random_gaussian_rational(ctx.rng)
+    return d1.scale(alpha * beta) != d1.scale(beta).scale(alpha)
 
 
-def _check_formula_equivalence(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(ctx.cases):
-        mc, d1, d2 = _pairing_instance(ctx.rng, allow_infinity=True)
-        exponents = [
-            pairing_norm(mc, d1, d2, formula).exponent
-            for formula in ("ad", "adsym", "ad3")
+@_property(count=True)
+def _check_degree_homomorphism(ctx: _Ctx) -> int:
+    _, d1, d2 = _pairing_instance(ctx.rng)
+    return (d1 + d2).degree() != d1.degree() + d2.degree()
+
+
+@_property()
+def _check_class_additivity(ctx: _Ctx) -> float:
+    mc, d1, d2 = _pairing_instance(ctx.rng)
+    combined = class_invariant(mc, d1 + d2)
+    expected = class_invariant(mc, d1).combine(class_invariant(mc, d2))
+    if combined.degree != expected.degree:
+        return math.inf
+    if combined.jacobian is None:
+        return 0.0
+    return mc.curve.lattice_defect(combined.jacobian - expected.jacobian)
+
+
+@_property(count=True)
+def _check_order_additivity(ctx: _Ctx) -> int:
+    a = _random_expansion(ctx.rng)
+    b = _random_expansion(ctx.rng)
+    product = expansion_multiply(a, b)
+    renorm = normalize_expansion(product.branch_exponent, product.leading_index, product.coeffs)
+    return (order(product) != order(a) + order(b)) + (renorm != product)
+
+
+@_property(count=True)
+def _check_witness_residues(ctx: _Ctx) -> int:
+    count = ctx.rng.randint(1, 4)
+    points = _random_points(ctx.rng, Sphere(), count)
+    exponents = [_random_gaussian_rational(ctx.rng) for _ in range(count)]
+    orders = power_product_orders(points, exponents)
+    return not sum((e for _, e in orders), GaussianRational(0)).is_zero()
+
+
+@_property(per=20, count=True)
+def _check_principal_subgroup(ctx: _Ctx) -> int:
+    torus = Torus(_random_tau(ctx.rng))
+    if ctx.case % 2 == 0:
+        # integer-coefficient principal parts
+        mc = MarkedCurve(torus)
+        parts = [
+            _three_point_principal(mc, *_random_points(ctx.rng, torus, 2, box=0.8))
+            for _ in range(2)
         ]
-        worst = max(worst, max(exponents) - min(exponents))
-    return worst
+    else:
+        # complex-coefficient principal parts supported on marks
+        (qa1, qb1, c1), (qa2, qb2, c2) = _draw_apart(
+            lambda: _principal_marked_pair(ctx.rng, torus),
+            lambda: _principal_marked_pair(ctx.rng, torus),
+            lambda first, second: _apart(torus, first[:2], second[:2], 0.05),
+        )
+        mc = MarkedCurve(torus, [qa1, qb1, qa2, qb2])
+        parts = [
+            ComplexDivisor(mc, marked={0: c1, 1: -c1}),
+            ComplexDivisor(mc, marked={2: c2, 3: -c2}),
+        ]
+    if not all(is_principal(mc, part).principal for part in parts):
+        return 1
+    return not is_principal(mc, parts[0] + parts[1]).principal
 
 
+@_property()
+def _check_multiplicator_homomorphism(ctx: _Ctx) -> float:
+    curve = _random_curve(ctx.rng)
+    mc = MarkedCurve(curve, _random_points(ctx.rng, curve, 3))
+    d1 = ComplexDivisor(mc, marked=list(enumerate(_zero_sum_coefficients(ctx.rng, 3))))
+    d2 = ComplexDivisor(mc, marked=list(enumerate(_zero_sum_coefficients(ctx.rng, 3))))
+
+    def defect(i: int) -> float:
+        combined = multiplicator(mc, d1 + d2, i)
+        split = multiplicator(mc, d1, i) * multiplicator(mc, d2, i)
+        return abs(combined - split) / max(abs(combined), 1e-300)
+
+    return _largest(*map(defect, range(3)))
+
+
+@_property(per=5, least=4)
+def _check_class_vs_principal(ctx: _Ctx) -> float:
+    torus = Torus(_random_tau(ctx.rng))
+    make_equal = ctx.case % 2 == 0
+    if make_equal and ctx.rng.random() < 0.5:
+        (qa, qb, c), base = _draw_apart(
+            lambda: _principal_marked_pair(ctx.rng, torus),
+            lambda: _random_points(ctx.rng, torus, 2),
+            lambda pair, base: _apart(torus, base, pair[:2], 0.08),
+        )
+        mc = MarkedCurve(torus, base + [qa, qb])
+        d1 = ComplexDivisor(mc, marked=list(enumerate(_zero_sum_coefficients(ctx.rng, 2))))
+        d2 = d1 + ComplexDivisor(mc, marked=[(2, c), (3, -c)])
+    else:
+        marks = _random_points(ctx.rng, torus, 3)
+        mc = MarkedCurve(torus, marks)
+        d1 = ComplexDivisor(mc, marked=list(enumerate(_zero_sum_coefficients(ctx.rng, 3))))
+        if make_equal:
+            p, q = _random_points(ctx.rng, torus, 6, box=0.8)[3:5]
+            d2 = d1
+            if _apart(torus, [2 * p - q], marks + [p, q], 0.08):
+                d2 = d1 + _three_point_principal(mc, p, q)
+        else:
+            d2 = ComplexDivisor(
+                mc, marked=list(enumerate(_zero_sum_coefficients(ctx.rng, 3)))
+            )
+            defect = torus.lattice_defect(abel_jacobi_sum(torus, d1 - d2))
+            if defect < 1e-3:  # accidentally equivalent; skip the ambiguous case
+                return 0.0
+    same_class = class_invariant(mc, d1).matches(class_invariant(mc, d2))
+    cert = is_principal(mc, d1 - d2)
+    if same_class != cert.principal or cert.principal != make_equal:
+        return math.inf
+    if cert.principal:
+        return cert.period_defect if cert.periods_integral else math.inf
+    return 0.0 if cert.period_defect >= 1e-3 else math.inf
+
+
+@_property()
+def _check_formula_equivalence(ctx: _Ctx) -> float:
+    mc, d1, d2 = _pairing_instance(ctx.rng, allow_infinity=True)
+    exponents = [
+        pairing_norm(mc, d1, d2, formula).exponent
+        for formula in ("ad", "adsym", "ad3")
+    ]
+    # the largest pairwise gap is max - min, and inf when an exponent is NaN
+    return _largest(*(abs(a - b) for a in exponents for b in exponents))
+
+
+@_property(per=2)
 def _check_kernel_constant_independence(ctx: _Ctx) -> float:
-    worst = 0.0
-    shifts = (-5.0, -1.0, 0.7, 5.0)
-    for _ in range(max(1, ctx.cases // 2)):
-        mc, d1, d2 = _pairing_instance(ctx.rng, allow_infinity=True)
-        base = pairing_norm(mc, d1, d2)
-        for shift in shifts:
-            shifted = pairing_norm(mc, d1, d2, kernel_shift=shift)
-            worst = max(worst, abs(shifted.norm - base.norm) / base.norm)
-    return worst
+    mc, d1, d2 = _pairing_instance(ctx.rng, allow_infinity=True)
+    base = pairing_norm(mc, d1, d2).norm
+    return _largest(*(
+        abs(pairing_norm(mc, d1, d2, kernel_shift=shift).norm - base) / base
+        for shift in (-5.0, -1.0, 0.7, 5.0)
+    ))
 
 
+@_property()
 def _check_reciprocity_sphere(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(ctx.cases):
-        f, g = _sphere_rational_pair(ctx.rng)
-        worst = max(worst, check_weil_reciprocity(f, g))
-    return worst
+    return check_weil_reciprocity(*_sphere_rational_pair(ctx.rng))
 
 
+@_property(per=5)
 def _check_reciprocity_torus(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(max(1, ctx.cases // 5)):
-        torus = Torus(_random_tau(ctx.rng))
-        f, g = _torus_rational_pair(ctx.rng, torus)
-        worst = max(worst, check_weil_reciprocity(f, g, MarkedCurve(torus)))
-    return worst
+    torus = Torus(_random_tau(ctx.rng))
+    return check_weil_reciprocity(*_torus_rational_pair(ctx.rng, torus), MarkedCurve(torus))
 
 
+@_property()
 def _check_hermitian_properties(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(ctx.cases):
-        mc, d1, d2 = _pairing_instance(ctx.rng, marked_only=True)
-        result = pairing_norm(mc, d1, d2)
-        if not result.norm > 0:
-            return math.inf
-        h12 = hermitian_form(mc, d1, d2)
-        h21 = hermitian_form(mc, d2, d1)
-        worst = max(worst, abs(h12 - h21.conjugate()))
-        alpha = _random_gaussian_rational(ctx.rng)
-        if not alpha.is_zero():
-            worst = max(
-                worst,
-                abs(hermitian_form(mc, d1.scale(alpha), d2) - alpha.to_complex() * h12),
-            )
-            worst = max(
-                worst,
-                abs(
-                    hermitian_form(mc, d1, d2.scale(alpha))
-                    - alpha.to_complex().conjugate() * h12
-                ),
-            )
-        worst = max(worst, abs(result.norm - math.exp(h12.real)) / result.norm)
-    return worst
+    mc, d1, d2 = _pairing_instance(ctx.rng, marked_only=True)
+    norm = pairing_norm(mc, d1, d2).norm
+    if not norm > 0:
+        return math.inf
+    h12 = hermitian_form(mc, d1, d2)
+    residuals = [abs(h12 - hermitian_form(mc, d2, d1).conjugate())]
+    alpha = _random_gaussian_rational(ctx.rng)
+    if not alpha.is_zero():
+        a = alpha.to_complex()
+        residuals.append(abs(hermitian_form(mc, d1.scale(alpha), d2) - a * h12))
+        residuals.append(abs(hermitian_form(mc, d1, d2.scale(alpha)) - a.conjugate() * h12))
+    return _largest(*residuals, abs(norm - math.exp(h12.real)) / norm)
 
 
+@_property()
 def _check_integral_weil_product(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(ctx.cases):
-        curve = _random_curve(ctx.rng)
-        pts = _random_points(ctx.rng, curve, 6)
-        w1 = _zero_sum_integers(ctx.rng, 3)
-        w2 = _zero_sum_integers(ctx.rng, 3)
-        mc = MarkedCurve(curve)
-        d1 = ComplexDivisor(mc, integral=list(zip(pts[:3], w1)))
-        d2 = ComplexDivisor(mc, integral=list(zip(pts[3:], w2)))
-        norm = pairing_norm(mc, d1, d2, "ad3").norm
-        product = 1.0
-        for p, n in zip(pts[:3], w1):
-            for q, m in zip(pts[3:], w2):
-                product *= math.exp(green_kernel(curve, p, q)) ** (n * m)
-        worst = max(worst, abs(norm - product) / norm)
-    return worst
+    curve = _random_curve(ctx.rng)
+    pts = _random_points(ctx.rng, curve, 6)
+    w1 = _zero_sum_integers(ctx.rng, 3)
+    w2 = _zero_sum_integers(ctx.rng, 3)
+    mc = MarkedCurve(curve)
+    d1 = ComplexDivisor(mc, integral=list(zip(pts[:3], w1)))
+    d2 = ComplexDivisor(mc, integral=list(zip(pts[3:], w2)))
+    norm = pairing_norm(mc, d1, d2, "ad3").norm
+    product = math.prod(
+        math.exp(green_kernel(curve, p, q)) ** (n * m)
+        for p, n in zip(pts[:3], w1)
+        for q, m in zip(pts[3:], w2)
+    )
+    return abs(norm - product) / norm
 
 
+@_property(per=10)
 def _check_unitary_invariance(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(max(1, ctx.cases // 10)):
-        curve = _random_curve(ctx.rng)
-        n = ctx.rng.randint(2, 4)
-        mc = MarkedCurve(curve, _random_points(ctx.rng, curve, n))
-        cfg = _random_momentum_config(ctx.rng, ctx.np_rng, n)
-        base = string_pairing_factor(mc, cfg)
-        rotated = cfg.apply_unitary(_random_unitary(ctx.np_rng, DIMENSION))
-        factor = string_pairing_factor(mc, rotated)
-        worst = max(worst, abs(factor.factor - base.factor) / base.factor)
-    return worst
+    mc, cfg = _string_instance(ctx)
+    base = string_pairing_factor(mc, cfg).factor
+    rotated = cfg.apply_unitary(_random_unitary(ctx.np_rng, DIMENSION))
+    return abs(string_pairing_factor(mc, rotated).factor - base) / base
 
 
+@_property(per=10)
 def _check_string_factorization(ctx: _Ctx) -> float:
-    worst = 0.0
-    for _ in range(max(1, ctx.cases // 10)):
-        curve = _random_curve(ctx.rng)
-        n = ctx.rng.randint(2, 4)
-        mc = MarkedCurve(curve, _random_points(ctx.rng, curve, n))
-        cfg = _random_momentum_config(ctx.rng, ctx.np_rng, n)
-        factor = string_pairing_factor(mc, cfg)
-        exponent = 0.0
-        for nu in range(DIMENSION):
-            d = momentum_divisor(mc, cfg, nu)
-            exponent += self_pairing_exponent(mc, d)
-        worst = max(worst, abs(factor.factor - math.exp(exponent)) / factor.factor)
-    return worst
+    mc, cfg = _string_instance(ctx)
+    factor = string_pairing_factor(mc, cfg).factor
+    exponent = 0.0
+    for nu in range(DIMENSION):
+        exponent += self_pairing_exponent(mc, momentum_divisor(mc, cfg, nu))
+    return abs(factor - math.exp(exponent)) / factor
 
 
-def _check_momentum_divisor_degree(ctx: _Ctx) -> float:
-    failures = 0
-    for _ in range(max(1, ctx.cases // 10)):
-        curve = _random_curve(ctx.rng)
-        n = ctx.rng.randint(2, 4)
-        mc = MarkedCurve(curve, _random_points(ctx.rng, curve, n))
-        cfg = _random_momentum_config(ctx.rng, ctx.np_rng, n)
-        for nu in range(DIMENSION):
-            d = momentum_divisor(mc, cfg, nu)
-            if d.degree() != 0:
-                failures += 1
-            total = d.marked_degree()
-            if not total.is_zero():
-                failures += 1
-    return float(failures)
+@_property(per=10, count=True)
+def _check_momentum_divisor_degree(ctx: _Ctx) -> int:
+    mc, cfg = _string_instance(ctx)
+    divisors = [momentum_divisor(mc, cfg, nu) for nu in range(DIMENSION)]
+    return sum((d.degree() != 0) + (not d.marked_degree().is_zero()) for d in divisors)
 
 
 _PROPERTIES: tuple[tuple[str, float, object], ...] = (
@@ -786,6 +712,8 @@ def property_names() -> list[str]:
 
 
 def run_property(name: str, seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES) -> PropertyResult:
+    if cases < 1:
+        raise DomainError(f"the case count must be at least 1, got {cases}")
     for prop_name, threshold, runner in _PROPERTIES:
         if prop_name == name:
             ctx = _Ctx(seed, prop_name, cases)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ def test_bench_layers_quick_run_records_every_layer(tmp_path):
     assert record["mode"] == "quick"
     assert set(record["trees"]) == {"head"}
     head = record["trees"]["head"]
-    assert set(head) == {"commit", "uncommitted_changes", "layers"}
+    assert set(head) == {"commit", "uncommitted_changes", "diff_sha256", "layers"}
+    assert head["diff_sha256"] is None or re.fullmatch(r"[0-9a-f]{64}", head["diff_sha256"])
     assert set(head["layers"]) == LAYERS
     assert all(value > 0 for value in head["layers"].values())

@@ -486,6 +486,14 @@ def test_version_flag(capsys):
     assert out.startswith("divpair ")
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_selftest_non_positive_cases_is_a_parse_error(capsys, cases):
+    code, out, err = run(capsys, "selftest", "--cases", cases)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "--cases" in err and "at least 1" in err
+
+
 def test_selftest_property_failure_exits_1(capsys, monkeypatch):
     # shrinking every threshold below float noise forces residual failures
     monkeypatch.setenv("DIVPAIR_TOL", "1e-30")

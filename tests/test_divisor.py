@@ -120,6 +120,17 @@ def test_torus_integral_points_merge_mod_lattice():
     assert d.is_empty()
 
 
+def test_divisor_equality_is_the_group_law():
+    # 2.3+0.0003i is 0.8 + 3 tau; its cell representative sorts after 1+0.00005i, 0.8 before it
+    mc = MarkedCurve(Torus(0.5 + 0.0001j))
+    a = ComplexDivisor(mc, integral=[(0.8, 1), (1 + 0.00005j, -1)])
+    b = ComplexDivisor(mc, integral=[(2.3 + 0.0003j, 1), (1 + 0.00005j, -1)])
+    assert (a - b).is_empty()
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != ComplexDivisor(mc, integral=[(0.7, 1), (1 + 0.00005j, -1)])
+    assert a != ComplexDivisor(MarkedCurve(mc.curve, [0.3]), integral=a.integral)
+
+
 def test_non_integer_off_marks_rejected():
     mc = MarkedCurve(Sphere(), [0.0])
     with pytest.raises(NonIntegralCoefficientError):

@@ -170,6 +170,16 @@ def test_glueing_data_examples():
     assert abs(data2.product_expected - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("degree", [2, 501])
+def test_glueing_data_integral_marked_degree_gives_exactly_one(degree):
+    mc = MarkedCurve(Sphere(), [0.0, 1.0])
+    third = GaussianRational(Fraction(1, 3))
+    d = ComplexDivisor(mc, marked={0: degree - third, 1: third}, integral=[(3.0, -degree)])
+    data = glueing_data(mc, d)
+    assert d.marked_degree() == degree
+    assert data.product_expected == 1 + 0j
+
+
 def test_is_principal_sphere_degree_zero():
     mc = MarkedCurve(Sphere(), [0.0, 1.0])
     d = ComplexDivisor(mc, marked={0: I, 1: -I})

@@ -16,12 +16,15 @@ time, so the fastest is the steady figure.  ``--full`` adds the system
 figures: one default ``divpair selftest`` and one tier-1 pytest run per
 tree, wall time.  ``--quick`` times every layer once, with no warm-up
 batch, in one round with one cold start: a check that the script runs,
-not a measurement.
+not a measurement.  The head tree is named by its ``HEAD`` commit and
+``diff_sha256``, the SHA-256 of ``git diff HEAD --binary`` (null on a
+clean tree), so a record written before its commit still names what it measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -176,6 +179,13 @@ def _git(*argv: str) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def _diff_sha256() -> str | None:
+    """SHA-256 of ``git diff HEAD --binary``, the uncommitted change to the measured tree;
+    None when there is none or outside a git checkout."""
+    done = subprocess.run(["git", "diff", "HEAD", "--binary"], cwd=ROOT, capture_output=True, check=False)
+    return hashlib.sha256(done.stdout).hexdigest() if done.returncode == 0 and done.stdout else None
+
+
 def _machine() -> dict:
     import numpy
 
@@ -211,7 +221,8 @@ def main(argv=None) -> int:
         "mode": "quick" if args.quick else "full" if args.full else "layers",
     }
     head = {"commit": _git("rev-parse", "HEAD"),
-            "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no"))}
+            "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no")),
+            "diff_sha256": _diff_sha256()}
     with tempfile.TemporaryDirectory() as scratch:
         trees = {}
         if args.base:
