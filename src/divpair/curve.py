@@ -193,10 +193,9 @@ class Torus(CurveModel):
     theta1 of tau' is its Fourier series, whose coefficients
     a_k = (-1)^k q^(k^2), q = exp(i pi tau'), are tabulated once for k < K:
     K is the least integer with |q|^(K^2) < 1e-17, at most 4 since
-    Im tau' >= sqrt(3)/2 (``_fourier``).  The kernel and theta1 sum it in
-    expm1 form over whole arrays of centred points (``_series``); the
-    certificate's log-derivative keeps its own scalar Horner loop
-    (``_log_derivative_sum``).
+    Im tau' >= sqrt(3)/2 (``_fourier``).  The kernel and theta1 (``_series``)
+    and the certificate's log-derivative (``_log_derivative_sum``) sum it in
+    expm1 form over whole arrays of centred points.
     """
 
     tau: complex = 1j
@@ -216,7 +215,6 @@ class Torus(CurveModel):
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_log_constant", log_constant)
         object.__setattr__(self, "_slope", 2.0 * quadratic)
-        object.__setattr__(self, "_nome", nome)
         # (a_k, (2k + 1) a_k) for k = K-1 down to 1, in Horner order; a_0 = 1 is written out
         object.__setattr__(self, "_fourier", tuple(
             (coefficients[k], (2 * k + 1) * coefficients[k]) for k in range(terms - 1, 0, -1)))
@@ -341,38 +339,28 @@ class Torus(CurveModel):
         (theta1'/theta1)(w | tau) = s (theta1'/theta1)(s*w | tau') + beta*w (``_reduce_modulus``,
         beta = ``_slope``).  Every difference z - P of the nodes x support grid is centred in one
         ``_centred`` pass, with (theta1'/theta1)(w + tau') = (theta1'/theta1)(w) - 2 pi i and oddness;
-        differentiating the Fourier series there,
-            (theta1'/theta1)(z') = -i pi + 2 pi i sum_k a_k p^k ((k + 1) x^(2k+1) + k) / sum_k a_k p^k (x^(2k+1) - 1)
-                                 = i pi sum_k (2k + 1) a_k p^k (x^(2k+1) + 1) / sum_k a_k p^k (x^(2k+1) - 1),
-        one division per support point, both sums in the Horner form of ``_series``, summed over the
-        support in item order to i pi T for each node.  Returns one sum per node,
-        s (i pi T) + beta (sum_P n_P z - sum_P n_P P), in Python scalars.
+        differentiating the Fourier series of ``_series`` there, with E_k = expm1(2 pi i (2k + 1) z'),
+            (theta1'/theta1)(z') = i pi sum_k (2k + 1) a_k p^k (E_k + 2) / sum_k a_k p^k E_k,
+        both sums in one Horner loop in p over the whole grid.  Neither cancels as z' -> 0, so the
+        ratio keeps its relative accuracy near the poles.  The ratios are contracted with the
+        coefficients to i pi T for each node; returns s (i pi T) + beta (sum_P n_P z - sum_P n_P P).
         """
-        nome, fourier, exp, two_pi_i = self._nome, self._fourier, cmath.exp, 2j * math.pi
-        pi_i_tau, scale, slope = 1j * math.pi * self._reduced_tau, self._scale, self._slope
         points = np.array([as_point(point).z for point, _ in items], dtype=complex)
-        coeffs = [coeff for _, coeff in items]
-        weight = sum(coeffs)
-        moment = sum(coeff * point for coeff, point in zip(coeffs, points.tolist()))
-        # numpy's complex subtraction rounds each part as Python's complex ``-`` does
+        coeffs = np.array([coeff for _, coeff in items], dtype=complex)
         centring = self._centred(nodes[:, None] - points)
-        rows = (centring[field].tolist() for field in ("z", "n", "odd"))
-        sums = []
-        for z, row, row_shifts, row_flips in zip(nodes.tolist(), *rows):
-            total = 0j
-            for coeff, w, n, odd in zip(coeffs, row, row_shifts, row_flips):
-                phase = two_pi_i * w
-                x, p = exp(phase), exp(pi_i_tau - phase)
-                u, high, low, high_odd, low_odd = nome * x, 0j, 0j, 0j, 0j
-                for a, b in fourier:
-                    high = (high + a) * u
-                    low = (low + a) * p
-                    high_odd = (high_odd + b) * u
-                    low_odd = (low_odd + b) * p
-                ratio = ((x + 1.0) + (x * high_odd + low_odd)) / ((x - 1.0) + (x * high - low))
-                total += coeff * ((-ratio if odd else ratio) - 2 * n)
-            sums.append(scale * (1j * math.pi * total) + slope * (weight * z - moment))
-        return np.array(sums, dtype=complex)
+        phase = 2j * math.pi * centring["z"]
+        p = np.exp(1j * math.pi * self._reduced_tau - phase)
+        numerator, denominator = 0j, 0j
+        for k, (a, b) in zip(range(len(self._fourier), 0, -1), self._fourier):
+            factor = np.expm1((2 * k + 1) * phase)
+            numerator = (numerator + b * (factor + 2.0)) * p
+            denominator = (denominator + a * factor) * p
+        factor = np.expm1(phase)
+        ratio = (numerator + (factor + 2.0)) / (denominator + factor)
+        ratio = np.where(centring["odd"], -ratio, ratio) - 2.0 * centring["n"]
+        # sums rather than @: the first BLAS call of a process allocates its buffers, about 0.3 MB
+        return (self._scale * (1j * math.pi * (ratio * coeffs).sum(axis=1))
+                + self._slope * (coeffs.sum() * nodes - (coeffs * points).sum()))
 
     def _theta1_parts(self, centring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(L, S) with theta1(w | tau) = exp(L) S at each entry of a 1-D array of centrings (``_centred``).

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 LAYERS = {
@@ -32,3 +34,15 @@ def test_bench_layers_quick_run_records_every_layer(tmp_path):
     assert head["diff_sha256"] is None or re.fullmatch(r"[0-9a-f]{64}", head["diff_sha256"])
     assert set(head["layers"]) == LAYERS
     assert all(value > 0 for value in head["layers"].values())
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_committed_bench_records_name_their_trees_and_layers(path):
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert {"cores", "python", "numpy"} <= set(record["machine"])
+    for tree in record["trees"].values():
+        assert re.fullmatch(r"[0-9a-f]{40}", tree["commit"])
+        assert LAYERS <= set(tree["layers"])
+    for name, speedup in record.get("speedup", {}).items():
+        base, head = (record["trees"][label]["layers"][name] for label in ("base", "head"))
+        assert abs(speedup - base / head) <= 1e-12 * speedup

@@ -214,9 +214,9 @@ def test_theta1_log_derivative_pole_is_a_diagonal_singularity():
         assert cmath.isfinite(theta1_log_derivative(z, tau))
 
 
-# Scalar references: the centring and the Fourier-series loops, one Python
-# complex at a time.  The array centring and the log-derivative sum must equal
-# them bit for bit; the kernel and theta1, summed in expm1 form over whole
+# Scalar references: the centring and the paired Horner loops in x and u = q x,
+# one Python complex at a time.  The array centring must equal them bit for bit;
+# the kernel, theta1 and the log-derivative sum, summed in expm1 form over whole
 # arrays, agree with them to a few ulps (ULPS).
 
 
@@ -236,7 +236,7 @@ def scalar_sums(torus, z):
     """x, p and the Horner sums A(q x), A(p) and their (2k + 1)-weighted twins at z'."""
     x = cmath.exp(2j * math.pi * z)
     p = cmath.exp(1j * math.pi * torus._reduced_tau - 2j * math.pi * z)
-    u, high, low, high_odd, low_odd = torus._nome * x, 0j, 0j, 0j, 0j
+    u, high, low, high_odd, low_odd = cmath.exp(1j * math.pi * torus._reduced_tau) * x, 0j, 0j, 0j, 0j
     for a, b in torus._fourier:
         high = (high + a) * u
         low = (low + a) * p
@@ -253,24 +253,40 @@ def scalar_kernel(torus, w):
     return math.log(abs((x - 1.0) + (x * high - low))) + math.pi * im * (1.0 - im / height) + torus._kernel_constant
 
 
+def scalar_ratio(torus, w):
+    """(theta1'/theta1)(w' | tau') / (i pi) at the centred point w' of s*w, and n, odd of its centring."""
+    z, n, _, odd = scalar_centre(torus, w)
+    x, _, high, low, high_odd, low_odd = scalar_sums(torus, z)
+    return ((x + 1.0) + (x * high_odd + low_odd)) / ((x - 1.0) + (x * high - low)), n, odd
+
+
 def scalar_log_derivative_sum(torus, z, items):
     """The sum at one node z, in torus coordinates: s and beta applied as the library applies them."""
     total = 0j
     for point, coeff in items:
-        w, n, _, odd = scalar_centre(torus, z - point)
-        x, _, high, low, high_odd, low_odd = scalar_sums(torus, w)
-        ratio = ((x + 1.0) + (x * high_odd + low_odd)) / ((x - 1.0) + (x * high - low))
+        ratio, n, odd = scalar_ratio(torus, z - point)
         total += coeff * ((-ratio if odd else ratio) - 2 * n)
     weight = sum(coeff for _, coeff in items)
     moment = sum(coeff * point for point, coeff in items)
     return torus._scale * (1j * math.pi * total) + torus._slope * (weight * z - moment)
 
 
+def log_derivative_magnitude(torus, z, items):
+    """The sum of the moduli of the parts of ``scalar_log_derivative_sum``: rounding moves the sum
+    by a few ulps of this."""
+    ratios, moments = 0.0, 0.0
+    for point, coeff in items:
+        ratio, n, _ = scalar_ratio(torus, z - point)
+        ratios += abs(coeff) * (abs(ratio) + 2 * abs(n))
+        moments += abs(coeff) * (abs(z) + abs(point))
+    return abs(torus._scale) * math.pi * ratios + abs(torus._slope) * moments
+
+
 def scalar_theta1(torus, w):
     tau, pi_i = torus._reduced_tau, 1j * math.pi
     z, n, m, odd = scalar_centre(torus, w)
     x, p = cmath.exp(2.0 * pi_i * z), cmath.exp(pi_i * (tau - 2.0 * z))
-    u, high, low = torus._nome * x, 0j, 0j
+    u, high, low = cmath.exp(pi_i * tau) * x, 0j, 0j
     for a, _ in torus._fourier:
         high = (high + a) * u
         low = (low + a) * p
@@ -325,11 +341,14 @@ def test_array_centring_equals_the_scalar_loops_bit_for_bit(tau):
             assert outcome(theta1, z, tau) is OverflowError
         else:
             assert abs(theta1(z, tau) - expected) <= ULPS * log_scale_magnitude(torus, z) * abs(expected)
-        assert theta1_log_derivative(z, tau) == scalar_log_derivative_sum(torus, z, ((0j, 1),))
+        expected = scalar_log_derivative_sum(torus, z, ((0j, 1),))
+        assert abs(theta1_log_derivative(z, tau) - expected) <= ULPS * log_derivative_magnitude(torus, z, ((0j, 1),))
     items = list(zip(points[:4], (2, -1, 1j, -1 - 1j)))
     nodes = points[4:]
     sums = torus._log_derivative_sum(np.array(nodes), items)
-    assert sums.tolist() == [scalar_log_derivative_sum(torus, z, items) for z in nodes]
+    for value, z in zip(sums.tolist(), nodes):
+        expected = scalar_log_derivative_sum(torus, z, items)
+        assert abs(value - expected) <= ULPS * log_derivative_magnitude(torus, z, items)
 
 
 def random_modular_word(rng, length):
@@ -788,6 +807,21 @@ def test_theta1_is_exact_to_rounding_near_its_zero(modulus):
             w = cmath.rect(modulus, rng.uniform(-math.pi, math.pi))
             reference = complex(mpmath.jtheta(1, mpmath.pi * w, mpmath.exp(1j * mpmath.pi * tau)))
             assert abs(theta1(w, tau) - reference) <= 1e-13 * abs(reference)
+
+
+@pytest.mark.parametrize("modulus", [2e-9, 1e-7, 1e-5, 1e-3, 1e-2])
+def test_theta1_log_derivative_is_exact_to_rounding_near_its_poles(modulus):
+    # both sums of the ratio in expm1 form stay away from zero as w -> 0; the denominator
+    # (x - 1) + (x A(q x) - A(p)), summed from x = exp(2 pi i w'), left 1.3e-10 at |w| = 1e-7
+    # and 7.1e-9 at 2e-9
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(73)
+    with mpmath.workdps(50):
+        for _ in range(30):
+            tau = random_tau(rng)
+            w = cmath.rect(modulus, rng.uniform(-math.pi, math.pi))
+            reference = complex(mpmath_log_derivative(mpmath, w, tau))
+            assert abs(theta1_log_derivative(w, tau) - reference) <= 1e-12 * abs(reference)
 
 
 @pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j)])
