@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import sys
@@ -122,18 +123,24 @@ def _in_range(value: float) -> float | None:
 # --- shared argument handling -----------------------------------------------
 
 
+def _curve(name: str, tau: str | None, field: str):
+    """The curve named by a ``--curve`` flag or a config's ``curve`` field: a torus
+    needs ``tau`` (given as ``field``), and the sphere takes none."""
+    if name == "torus":
+        if tau is None:
+            raise ParseError(f"{field} is required for the torus")
+        return Torus(parse_complex(tau))
+    if tau is not None:
+        raise ParseError(f"{field} only applies to the torus")
+    return Sphere()
+
+
 def _build_marked_curve(args) -> tuple[MarkedCurve, dict]:
     """The marked curve of the curve flags, and the report inputs they parse to."""
     inputs = {"curve": args.curve}
-    if args.curve == "torus":
-        if args.tau is None:
-            raise ParseError("--tau is required for the torus")
-        curve = Torus(parse_complex(args.tau))
+    curve = _curve(args.curve, args.tau, "--tau")
+    if isinstance(curve, Torus):
         inputs["tau"] = curve.tau
-    elif args.tau is not None:
-        raise ParseError("--tau only applies to the torus")
-    else:
-        curve = Sphere()
     marks = []
     if getattr(args, "marks", None):
         marks = inputs["marks"] = [parse_complex(tok) for tok in args.marks.split(",") if tok.strip()]
@@ -250,12 +257,7 @@ def _load_momentum_config(path: str):
     curve_name = raw.get("curve")
     if curve_name not in ("sphere", "torus"):
         raise ParseError("config field 'curve' must be 'sphere' or 'torus'")
-    if curve_name == "torus":
-        if "tau" not in raw:
-            raise ParseError("torus config needs a 'tau' field")
-        curve = Torus(parse_complex(str(raw["tau"])))
-    else:
-        curve = Sphere()
+    curve = _curve(curve_name, str(raw["tau"]) if "tau" in raw else None, "config field 'tau'")
     marks_raw = raw.get("marks", [])
     if not isinstance(marks_raw, list):
         raise ParseError("config field 'marks' must be a list of complex literals")
@@ -292,16 +294,7 @@ def _cmd_selftest(args) -> _Report:
     from .selftest import run_selftest  # only this command loads the suite
 
     report = run_selftest(**{name: getattr(args, name) for name in ("seed", "cases") if hasattr(args, name)})
-    rows = [
-        {
-            "name": r.name,
-            "cases": r.cases,
-            "residual": r.residual,
-            "threshold": r.threshold,
-            "passed": r.passed,
-        }
-        for r in report.results
-    ]
+    rows = [dataclasses.asdict(r) for r in report.results]
     # wall time goes to the diagnostic stream so the report stays byte-identical
     print(f"selftest runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
     for r in report.results:

@@ -366,19 +366,33 @@ def _property(*, per: int = 1, least: int = 1, count: bool = False):
     return wrap
 
 
+# every property, by name, in the order of its declaration: its threshold and its check
+_PROPERTIES: dict[str, tuple[float, object]] = {}
+
+
+def _declare(name: str, threshold: float, **rule):
+    """Declare a one-case check as the property ``name`` with its pass threshold;
+    ``rule`` (``per``, ``least``, ``count``) goes to ``_property``."""
+    def register(case):
+        check = _property(**rule)(case)
+        _PROPERTIES[name] = threshold, check
+        return check
+    return register
+
+
 def _largest(*residuals: float) -> float:
     """The largest of one case's residuals; inf if one is not finite, which ``max`` may drop."""
     return max(residuals) if all(map(math.isfinite, residuals)) else math.inf
 
 
-@_property()
+@_declare("curve.kernel_symmetry", 1e-12)
 def _check_kernel_symmetry(ctx: _Ctx) -> float:
     curve = _random_curve(ctx.rng)
     p, q = _random_points(ctx.rng, curve, 2)
     return abs(green_kernel(curve, p, q) - green_kernel(curve, q, p))
 
 
-@_property(per=10)
+@_declare("curve.torus_periodicity", 1e-10, per=10)
 def _check_torus_periodicity(ctx: _Ctx) -> float:
     torus = Torus(_random_tau(ctx.rng))
     p, q = _random_points(ctx.rng, torus, 2)
@@ -390,7 +404,7 @@ def _check_torus_periodicity(ctx: _Ctx) -> float:
     ))
 
 
-@_property(per=5)
+@_declare("curve.green_divisor_harmonicity", 1e-4, per=5)
 def _check_harmonicity(ctx: _Ctx) -> float:
     # five-point Laplacian at h = 1e-3; the stencil bias of a log kernel is
     # ~ h^2 / r^4 per unit weight, so +-1 weights at r >= 0.45 keep the
@@ -406,7 +420,7 @@ def _check_harmonicity(ctx: _Ctx) -> float:
     return abs((sum(values) - 4.0 * green_divisor(curve, d, z).real) / (h * h))
 
 
-@_property()
+@_declare("curve.sphere_invariance", 1e-10)
 def _check_sphere_invariance(ctx: _Ctx) -> float:
     sphere = Sphere()
     mc = MarkedCurve(sphere)
@@ -427,7 +441,7 @@ def _check_sphere_invariance(ctx: _Ctx) -> float:
     return _largest(moved(lambda p: p + shift), moved(lambda p: p * factor))
 
 
-@_property()
+@_declare("curve.green_divisor_linearity", 1e-12)
 def _check_green_linearity(ctx: _Ctx) -> float:
     mc, d1, d2 = _pairing_instance(ctx.rng)
     curve = mc.curve
@@ -440,7 +454,7 @@ def _check_green_linearity(ctx: _Ctx) -> float:
     return abs(green_divisor(curve, both, z) - split)
 
 
-@_property()
+@_declare("curve.theta1_quasi_periodicity", 1e-10)
 def _check_theta_quasi_periodicity(ctx: _Ctx) -> float:
     tau = _random_tau(ctx.rng)
     z = complex(ctx.rng.uniform(-1.5, 1.5), ctx.rng.uniform(-1.0, 1.0))
@@ -452,7 +466,7 @@ def _check_theta_quasi_periodicity(ctx: _Ctx) -> float:
     )
 
 
-@_property(count=True)
+@_declare("divisor.group_laws", 0.5, count=True)
 def _check_divisor_group_laws(ctx: _Ctx) -> int:
     mc, d1, d2 = _pairing_instance(ctx.rng)
     d3 = -(d1 + d2)
@@ -464,7 +478,7 @@ def _check_divisor_group_laws(ctx: _Ctx) -> int:
     )
 
 
-@_property(count=True)
+@_declare("divisor.scale_multiplicative", 0.5, count=True)
 def _check_scale_multiplicative(ctx: _Ctx) -> int:
     _, d1, _ = _pairing_instance(ctx.rng, marked_only=True)
     alpha = _random_gaussian_rational(ctx.rng)
@@ -472,13 +486,13 @@ def _check_scale_multiplicative(ctx: _Ctx) -> int:
     return d1.scale(alpha * beta) != d1.scale(beta).scale(alpha)
 
 
-@_property(count=True)
+@_declare("divisor.degree_homomorphism", 0.5, count=True)
 def _check_degree_homomorphism(ctx: _Ctx) -> int:
     _, d1, d2 = _pairing_instance(ctx.rng)
     return (d1 + d2).degree() != d1.degree() + d2.degree()
 
 
-@_property()
+@_declare("divisor.class_additivity", 1e-9)
 def _check_class_additivity(ctx: _Ctx) -> float:
     mc, d1, d2 = _pairing_instance(ctx.rng)
     combined = class_invariant(mc, d1 + d2)
@@ -490,7 +504,7 @@ def _check_class_additivity(ctx: _Ctx) -> float:
     return mc.curve.lattice_defect(combined.jacobian - expected.jacobian)
 
 
-@_property(count=True)
+@_declare("mvf.order_additivity", 0.5, count=True)
 def _check_order_additivity(ctx: _Ctx) -> int:
     a = _random_expansion(ctx.rng)
     b = _random_expansion(ctx.rng)
@@ -499,7 +513,7 @@ def _check_order_additivity(ctx: _Ctx) -> int:
     return (order(product) != order(a) + order(b)) + (renorm != product)
 
 
-@_property(count=True)
+@_declare("mvf.sphere_witness_residues", 0.5, count=True)
 def _check_witness_residues(ctx: _Ctx) -> int:
     count = ctx.rng.randint(1, 4)
     points = _random_points(ctx.rng, Sphere(), count)
@@ -508,7 +522,7 @@ def _check_witness_residues(ctx: _Ctx) -> int:
     return not sum((e for _, e in orders), GaussianRational(0)).is_zero()
 
 
-@_property(per=20, count=True)
+@_declare("mvf.principal_subgroup", 0.5, per=20, count=True)
 def _check_principal_subgroup(ctx: _Ctx) -> int:
     torus = Torus(_random_tau(ctx.rng))
     if ctx.case % 2 == 0:
@@ -535,7 +549,7 @@ def _check_principal_subgroup(ctx: _Ctx) -> int:
     return not is_principal(mc, parts[0] + parts[1]).principal
 
 
-@_property()
+@_declare("mvf.multiplicator_homomorphism", 1e-12)
 def _check_multiplicator_homomorphism(ctx: _Ctx) -> float:
     curve = _random_curve(ctx.rng)
     mc = MarkedCurve(curve, _random_points(ctx.rng, curve, 3))
@@ -550,7 +564,7 @@ def _check_multiplicator_homomorphism(ctx: _Ctx) -> float:
     return _largest(*map(defect, range(3)))
 
 
-@_property(per=5, least=4)
+@_declare("mvf.class_vs_principal", 1e-6, per=5, least=4)
 def _check_class_vs_principal(ctx: _Ctx) -> float:
     torus = Torus(_random_tau(ctx.rng))
     make_equal = ctx.case % 2 == 0
@@ -588,7 +602,7 @@ def _check_class_vs_principal(ctx: _Ctx) -> float:
     return 0.0 if cert.period_defect >= 1e-3 else math.inf
 
 
-@_property()
+@_declare("pairing.formula_equivalence", 1e-12)
 def _check_formula_equivalence(ctx: _Ctx) -> float:
     mc, d1, d2 = _pairing_instance(ctx.rng, allow_infinity=True)
     exponents = [
@@ -599,7 +613,7 @@ def _check_formula_equivalence(ctx: _Ctx) -> float:
     return _largest(*(abs(a - b) for a in exponents for b in exponents))
 
 
-@_property(per=2)
+@_declare("pairing.kernel_constant_independence", 1e-10, per=2)
 def _check_kernel_constant_independence(ctx: _Ctx) -> float:
     mc, d1, d2 = _pairing_instance(ctx.rng, allow_infinity=True)
     base = pairing_norm(mc, d1, d2).norm
@@ -609,18 +623,18 @@ def _check_kernel_constant_independence(ctx: _Ctx) -> float:
     ))
 
 
-@_property()
+@_declare("pairing.weil_reciprocity_sphere", 1e-9)
 def _check_reciprocity_sphere(ctx: _Ctx) -> float:
     return check_weil_reciprocity(*_sphere_rational_pair(ctx.rng))
 
 
-@_property(per=5)
+@_declare("pairing.weil_reciprocity_torus", 1e-9, per=5)
 def _check_reciprocity_torus(ctx: _Ctx) -> float:
     torus = Torus(_random_tau(ctx.rng))
     return check_weil_reciprocity(*_torus_rational_pair(ctx.rng, torus), MarkedCurve(torus))
 
 
-@_property()
+@_declare("pairing.hermitian_properties", 1e-12)
 def _check_hermitian_properties(ctx: _Ctx) -> float:
     mc, d1, d2 = _pairing_instance(ctx.rng, marked_only=True)
     norm = pairing_norm(mc, d1, d2).norm
@@ -636,7 +650,7 @@ def _check_hermitian_properties(ctx: _Ctx) -> float:
     return _largest(*residuals, abs(norm - math.exp(h12.real)) / norm)
 
 
-@_property()
+@_declare("pairing.integral_weil_product", 1e-12)
 def _check_integral_weil_product(ctx: _Ctx) -> float:
     curve = _random_curve(ctx.rng)
     pts = _random_points(ctx.rng, curve, 6)
@@ -654,7 +668,7 @@ def _check_integral_weil_product(ctx: _Ctx) -> float:
     return abs(norm - product) / norm
 
 
-@_property(per=10)
+@_declare("strings.unitary_invariance", 1e-10, per=10)
 def _check_unitary_invariance(ctx: _Ctx) -> float:
     mc, cfg = _string_instance(ctx)
     base = string_pairing_factor(mc, cfg).factor
@@ -662,7 +676,7 @@ def _check_unitary_invariance(ctx: _Ctx) -> float:
     return abs(string_pairing_factor(mc, rotated).factor - base) / base
 
 
-@_property(per=10)
+@_declare("strings.factorization", 1e-10, per=10)
 def _check_string_factorization(ctx: _Ctx) -> float:
     mc, cfg = _string_instance(ctx)
     factor = string_pairing_factor(mc, cfg).factor
@@ -672,55 +686,24 @@ def _check_string_factorization(ctx: _Ctx) -> float:
     return abs(factor - math.exp(exponent)) / factor
 
 
-@_property(per=10, count=True)
+@_declare("strings.momentum_divisor_degree", 0.5, per=10, count=True)
 def _check_momentum_divisor_degree(ctx: _Ctx) -> int:
     mc, cfg = _string_instance(ctx)
     divisors = [momentum_divisor(mc, cfg, nu) for nu in range(DIMENSION)]
     return sum((d.degree() != 0) + (not d.marked_degree().is_zero()) for d in divisors)
 
 
-_PROPERTIES: tuple[tuple[str, float, object], ...] = (
-    ("curve.kernel_symmetry", 1e-12, _check_kernel_symmetry),
-    ("curve.torus_periodicity", 1e-10, _check_torus_periodicity),
-    ("curve.green_divisor_harmonicity", 1e-4, _check_harmonicity),
-    ("curve.sphere_invariance", 1e-10, _check_sphere_invariance),
-    ("curve.green_divisor_linearity", 1e-12, _check_green_linearity),
-    ("curve.theta1_quasi_periodicity", 1e-10, _check_theta_quasi_periodicity),
-    ("divisor.group_laws", 0.5, _check_divisor_group_laws),
-    ("divisor.scale_multiplicative", 0.5, _check_scale_multiplicative),
-    ("divisor.degree_homomorphism", 0.5, _check_degree_homomorphism),
-    ("divisor.class_additivity", 1e-9, _check_class_additivity),
-    ("mvf.order_additivity", 0.5, _check_order_additivity),
-    ("mvf.sphere_witness_residues", 0.5, _check_witness_residues),
-    ("mvf.principal_subgroup", 0.5, _check_principal_subgroup),
-    ("mvf.multiplicator_homomorphism", 1e-12, _check_multiplicator_homomorphism),
-    ("mvf.class_vs_principal", 1e-6, _check_class_vs_principal),
-    ("pairing.formula_equivalence", 1e-12, _check_formula_equivalence),
-    ("pairing.kernel_constant_independence", 1e-10, _check_kernel_constant_independence),
-    ("pairing.weil_reciprocity_sphere", 1e-9, _check_reciprocity_sphere),
-    ("pairing.weil_reciprocity_torus", 1e-9, _check_reciprocity_torus),
-    ("pairing.hermitian_properties", 1e-12, _check_hermitian_properties),
-    ("pairing.integral_weil_product", 1e-12, _check_integral_weil_product),
-    ("strings.unitary_invariance", 1e-10, _check_unitary_invariance),
-    ("strings.factorization", 1e-10, _check_string_factorization),
-    ("strings.momentum_divisor_degree", 0.5, _check_momentum_divisor_degree),
-)
-
-
 def property_names() -> list[str]:
-    return [name for name, _, _ in _PROPERTIES]
+    return list(_PROPERTIES)
 
 
 def run_property(name: str, seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES) -> PropertyResult:
     if cases < 1:
         raise DomainError(f"the case count must be at least 1, got {cases}")
-    for prop_name, threshold, runner in _PROPERTIES:
-        if prop_name == name:
-            ctx = _Ctx(seed, prop_name, cases)
-            residual = runner(ctx)
-            scaled = threshold * tolerance_scale()
-            return PropertyResult(prop_name, cases, residual, scaled, residual < scaled)
-    raise KeyError(name)
+    threshold, check = _PROPERTIES[name]
+    residual = check(_Ctx(seed, name, cases))
+    scaled = threshold * tolerance_scale()
+    return PropertyResult(name, cases, residual, scaled, residual < scaled)
 
 
 def run_selftest(seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES) -> SelftestReport:

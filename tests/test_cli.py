@@ -397,6 +397,17 @@ def test_torus_requires_tau(capsys):
     assert "tau" in err
 
 
+def test_tau_in_a_sphere_config_is_a_parse_error(tmp_path, capsys):
+    # the same rule as --tau on the sphere
+    config = {"curve": "sphere", "tau": "0.5+i", "marks": ["0", "3"],
+              "momenta": [["1"] + ["0"] * 12, ["-1"] + ["0"] * 12]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run(capsys, "string-factor", "--config", str(path))
+    assert code == EXIT_PARSE and not out
+    assert "tau" in err and "only applies to the torus" in err
+
+
 def test_green_on_torus(capsys):
     code, out, _ = run(
         capsys,

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,6 +309,25 @@ def test_scaling_laws():
     res3 = check_scaling_laws(mc, d1, d2, GaussianRational(1, 1))
     assert res3.real_law is None and res3.conjugation_law < 1e-10
 
+
+
+@pytest.mark.parametrize("alpha", [2, GaussianRational(1, 1)], ids=["real", "complex"])
+def test_scaling_laws_outside_the_float_range(alpha):
+    # the exponent is 35702.9 and the norm inf; both laws come from the exponents
+    mc = sphere_mc(0.0, 1.0, 0.5000001, 5.0)
+    d1 = ComplexDivisor(mc, marked={0: 400, 1: -400})
+    d2 = ComplexDivisor(mc, marked={2: -400, 3: 400})
+    assert pairing_norm(mc, d1, d2).norm == math.inf
+    res = check_scaling_laws(mc, d1, d2, alpha)
+    assert res.conjugation_law < 1e-10
+    assert (res.real_law is None) == (alpha != 2) and (res.real_law or 0.0) < 1e-10
+
+
+def test_law_defect_is_inf_where_the_norm_ratio_leaves_the_float_range(monkeypatch):
+    # expm1 overflows beyond an exponent gap of about 709.8
+    exponents = iter([0.0, 1000.0])
+    monkeypatch.setattr(divpair.pairing, "pairing_norm", lambda *args: SimpleNamespace(exponent=next(exponents)))
+    assert check_symmetry(None, None, None) == math.inf
 
 def test_bimultiplicativity_and_symmetry():
     mc = sphere_mc(0.0, 1.0, 2.0 + 1j, -1.5j, 4.0, 5.0 + 2j)

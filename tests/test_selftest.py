@@ -1,15 +1,20 @@
 """The selftest's property runner: case counts, the fold of case results, and
-non-finite residuals, which fail the property instead of vanishing in ``max``."""
+non-finite residuals, which fail the property instead of vanishing in ``max``;
+and the declared property list, which the benchmark's tracer pins by name."""
 
 import dataclasses
 import math
+import runpy
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import divpair.selftest as selftest
 from divpair.errors import DomainError
-from divpair.selftest import _Ctx, _property, run_property, run_selftest
+from divpair.selftest import _Ctx, _property, property_names, run_property, run_selftest
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _ctx(cases: int) -> _Ctx:
@@ -79,3 +84,14 @@ def test_non_positive_case_count_is_a_domain_error(cases):
         run_selftest(cases=cases)
     with pytest.raises(DomainError, match="at least 1"):
         run_property("curve.kernel_symmetry", cases=cases)
+
+
+def test_benchmark_tracer_pins_the_declared_properties_in_order():
+    # the tracer times each property under a name from its own list; run_path
+    # executes the file without importing perfbench or writing bytecode
+    assert list(runpy.run_path(str(TRACING))["SELFTEST_PROPERTIES"]) == property_names()
+
+
+def test_unknown_property_is_a_key_error():
+    with pytest.raises(KeyError):
+        run_property("curve.no_such_property", cases=1)
