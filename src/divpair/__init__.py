@@ -35,7 +35,6 @@ from .errors import (
 )
 from .grammar import (
     format_complex,
-    format_gaussian_rational,
     parse_complex,
     parse_divisor,
     parse_gaussian_rational,

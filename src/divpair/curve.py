@@ -34,6 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SPHERE_POINT_TOL = 1e-12
 TORUS_POINT_TOL = 1e-9
+# a lattice coordinate this close to an integer, relative to the terms it is computed from (at least 1),
+# is that integer: the rounding of a point on a cell edge (``Torus.reduce_point``)
+EDGE_RTOL = 64 * 2.0**-52
 
 # theta1's Fourier series keeps the terms k with |q|^(k^2) >= 1e-17
 _LOG_THETA_CUTOFF = math.log(1e-17)
@@ -232,12 +235,30 @@ class Torus(CurveModel):
         return complex(a, 0.0) + b * self.tau
 
     def reduce_point(self, p) -> CurvePoint:
-        """Representative in the fundamental cell {a + b*tau : a, b in [0,1)}."""
+        """Representative in the fundamental cell {a + b*tau : a, b in [0,1)}, z - floor(a) - floor(b)*tau.
+
+        A coordinate within ``EDGE_RTOL`` of an integer (b first, then a from the snapped b) is that
+        integer, and the representative's coordinate is exactly 0 (``lattice_coords`` of it reads 0.0),
+        so every input of a point on a cell edge gets one representative inside the cell.
+        """
         p = as_point(p)
         if p.at_infinity:
             raise DomainError("the torus has no point at infinity")
-        a, b = self.lattice_coords(p.z)
-        return CurvePoint(p.z - math.floor(a) - math.floor(b) * self.tau)
+        z, tau = p.z, self.tau
+        b = z.imag / tau.imag
+        kb = round(b)
+        b_edge = abs(b - kb) <= EDGE_RTOL * max(1.0, abs(b))
+        if b_edge:
+            b = kb
+        a = z.real - b * tau.real
+        ka = round(a)
+        a_edge = abs(a - ka) <= EDGE_RTOL * max(1.0, abs(z.real) + abs(b * tau.real))
+        z = z - (ka if a_edge else math.floor(a)) - (kb if b_edge else math.floor(b)) * tau
+        if b_edge:
+            z = complex(z.real, 0.0)
+        if a_edge:
+            z = complex(z.imag / tau.imag * tau.real, z.imag)
+        return CurvePoint(z)
 
     def lattice_defect(self, z: complex) -> float:
         """Distance from z to the nearest lattice point, the scalar reference of ``_reduce_pairs``.

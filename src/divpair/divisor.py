@@ -11,6 +11,7 @@ are floating geometry.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
 from numbers import Rational
@@ -58,6 +59,7 @@ def _rational_str(n: int, d: int) -> str:
     return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class GaussianRational:
     """An exact complex number re + im*i with rational re, im.
 
@@ -67,19 +69,14 @@ class GaussianRational:
     ``im`` are ``Fraction`` views of it; ``triple`` is the triple itself.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    _a: int
+    _b: int
+    _d: int
 
     def __init__(self, re=0, im=0):
         p, q = _ratio(re)
         r, s = _ratio(im)
         _fill(self, p * s, r * q, q * s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __reduce__(self):
-        # unpickle through the triple: the default slot restore would go through __setattr__
-        return _reduced, self.triple
 
     @property
     def re(self) -> Fraction:
@@ -222,10 +219,9 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 
 GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class MarkedCurve:
     """A curve together with an ordered tuple of distinct marked points.
 
@@ -234,11 +230,12 @@ class MarkedCurve:
     Torus marks are stored as fundamental-cell representatives.
     """
 
-    __slots__ = ("curve", "marks")
+    curve: CurveModel
+    marks: Iterable = ()
 
-    def __init__(self, curve: CurveModel, marks: Iterable = ()):
-        points = []
-        for raw in marks:
+    def __post_init__(self):
+        curve, points = self.curve, []
+        for raw in self.marks:
             point = as_point(raw)
             if point.at_infinity:
                 raise DomainError("marked points must be affine")
@@ -246,11 +243,7 @@ class MarkedCurve:
         # the upper triangle of one distance pass (``kernel_matrix``'s coincidence test)
         if len(points) > 1 and np.triu(curve._reduce_pairs(points, points)[0] < curve.point_tol, 1).any():
             raise DomainError("marked points must be pairwise distinct")
-        object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "marks", tuple(points))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarkedCurve is immutable")
 
     @property
     def n_marks(self) -> int:
@@ -263,13 +256,11 @@ class MarkedCurve:
             self.curve.points_equal(p, q) for p, q in zip(self.marks, other.marks)
         )
 
-    def empty_divisor(self) -> "ComplexDivisor":
-        return ComplexDivisor(self)
-
     def __repr__(self):
         return f"MarkedCurve({self.curve!r}, marks={list(self.marks)!r})"
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class ComplexDivisor:
     """Formal sum of points: Gaussian-rational coefficients on the marks,
     integer coefficients elsewhere, integral total degree.
@@ -283,7 +274,12 @@ class ComplexDivisor:
     converted once, on first use.
     """
 
-    __slots__ = ("mc", "marked", "integral", "_marked_degree", "_degree", "_support")
+    mc: MarkedCurve
+    marked: tuple
+    integral: tuple
+    _marked_degree: GaussianRational
+    _degree: int
+    _support: tuple | None
 
     def __init__(
         self,
@@ -321,9 +317,6 @@ class ComplexDivisor:
         if not total.is_integer():
             raise DegreeIntegralityError()
         _fill_divisor(self, mc, marked_part, integral_part, marked_degree, total._a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexDivisor is immutable")
 
     # --- queries ---------------------------------------------------------
 
@@ -469,6 +462,7 @@ def _canonical(mc, marked, integral, marked_degree, degree) -> ComplexDivisor:
     return d
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ClassDescriptor:
     """Divisor-class invariant: degree, plus the reduced Jacobian point on the torus.
 
@@ -477,15 +471,9 @@ class ClassDescriptor:
     the lattice on the torus).
     """
 
-    __slots__ = ("degree", "jacobian", "torus")
-
-    def __init__(self, degree: int, jacobian: complex | None = None, torus: Torus | None = None):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "jacobian", jacobian)
-        object.__setattr__(self, "torus", torus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassDescriptor is immutable")
+    degree: int
+    jacobian: complex | None = None
+    torus: Torus | None = None
 
     def matches(self, other: "ClassDescriptor") -> bool:
         if self.degree != other.degree:

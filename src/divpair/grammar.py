@@ -35,7 +35,6 @@ __all__ = [
     "parse_divisor",
     "parse_rational_function_spec",
     "format_complex",
-    "format_gaussian_rational",
 ]
 
 
@@ -104,7 +103,7 @@ def parse_divisor(text: str, mc: MarkedCurve) -> ComplexDivisor:
     """Divisor literal over the given marked curve."""
     body = text.strip()
     if not body:
-        return mc.empty_divisor()
+        return ComplexDivisor(mc)
     marked: list[tuple[int, GaussianRational]] = []
     integral: list[tuple[CurvePoint, object]] = []
     for term in body.split(","):
@@ -176,7 +175,3 @@ def format_complex(value: complex) -> str:
         return imag
     joiner = "" if imag.startswith("-") else "+"
     return f"{_format_real(value.real)}{joiner}{imag}"
-
-
-def format_gaussian_rational(value: GaussianRational) -> str:
-    return str(value)

@@ -73,6 +73,7 @@ def tolerance_scale() -> float:
     return 1.0
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class RationalFunctionData:
     """A single-valued meromorphic function given by its zeros and poles.
 
@@ -83,7 +84,10 @@ class RationalFunctionData:
     lattice point and makes the product doubly periodic.
     """
 
-    __slots__ = ("curve", "zeros_poles", "leading_constant", "_tau_winding")
+    curve: CurveModel
+    zeros_poles: tuple
+    leading_constant: complex
+    _tau_winding: int
 
     def __init__(self, curve: CurveModel, zeros_poles, leading_constant: complex = 1.0):
         constant = complex(leading_constant)
@@ -114,9 +118,6 @@ class RationalFunctionData:
         object.__setattr__(self, "zeros_poles", merged)
         object.__setattr__(self, "leading_constant", constant)
         object.__setattr__(self, "_tau_winding", winding)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunctionData is immutable")
 
     @classmethod
     def from_zeros_poles(
@@ -188,12 +189,18 @@ def weil_symbol(f: RationalFunctionData, d: ComplexDivisor) -> complex:
 def check_weil_reciprocity(f: RationalFunctionData, g: RationalFunctionData, mc: MarkedCurve | None = None) -> float:
     """|f(div g) / g(div f) - 1|; below 1e-9 for a passing pair.
 
-    |expm1(delta)| of the log symbols' difference delta, its imaginary part reduced mod
-    2 pi: defined where either symbol leaves the float range, inf where the ratio does.
+    ``_ratio_defect`` of the log symbols' difference: defined where either symbol
+    leaves the float range, inf where the ratio does.
     """
-    delta = _log_weil_symbol(f, g.divisor(mc)) - _log_weil_symbol(g, f.divisor(mc))
+    return _ratio_defect(_log_weil_symbol(f, g.divisor(mc)) - _log_weil_symbol(g, f.divisor(mc)))
+
+
+def _ratio_defect(delta: complex) -> float:
+    """|e^delta - 1| for a complex log-ratio delta, its imaginary part reduced mod 2 pi; inf where
+    it leaves the float range.  |e^delta - 1|^2 = expm1(Re delta)^2 + 4 e^(Re delta) sin^2(Im delta / 2)
+    is free of cancellation, and for real delta it is |expm1(delta)| exactly."""
     angle = math.remainder(delta.imag, 2.0 * math.pi)
-    try:  # |e^delta - 1|^2 = expm1(Re delta)^2 + 4 e^(Re delta) sin^2(angle / 2), free of cancellation
+    try:
         return math.hypot(math.expm1(delta.real), 2.0 * math.exp(0.5 * delta.real) * math.sin(0.5 * angle))
     except OverflowError:
         return math.inf
@@ -331,16 +338,6 @@ class ScalingResiduals:
     conjugation_law: float
 
 
-def _exponent_defect(exponent: float, expected: float) -> float:
-    """|e^(exponent - expected) - 1|: the relative defect of a norm against the norm
-    it should equal, taken from their exponents, so it stays finite where the norms
-    leave the float range; inf where the ratio does."""
-    try:
-        return abs(math.expm1(exponent - expected))
-    except OverflowError:
-        return math.inf
-
-
 def check_scaling_laws(
     mc: MarkedCurve, d1: ComplexDivisor, d2: ComplexDivisor, alpha
 ) -> ScalingResiduals:
@@ -351,8 +348,8 @@ def check_scaling_laws(
     conjugated = pairing_norm(mc, d1, d2.scale(alpha.conjugate())).exponent
     real_law = None
     if alpha.is_real():
-        real_law = _exponent_defect(scaled, float(alpha.re) * pairing_norm(mc, d1, d2).exponent)
-    return ScalingResiduals(real_law, _exponent_defect(scaled, conjugated))
+        real_law = _ratio_defect(scaled - float(alpha.re) * pairing_norm(mc, d1, d2).exponent)
+    return ScalingResiduals(real_law, _ratio_defect(scaled - conjugated))
 
 
 def check_bimultiplicativity(
@@ -361,11 +358,11 @@ def check_bimultiplicativity(
     """Relative defect of norm(d1 + d2, k) = norm(d1, k) * norm(d2, k), from the exponents."""
     combined = pairing_norm(mc, d1 + d2, k).exponent
     split = pairing_norm(mc, d1, k).exponent + pairing_norm(mc, d2, k).exponent
-    return _exponent_defect(split, combined)
+    return _ratio_defect(split - combined)
 
 
 def check_symmetry(mc: MarkedCurve, d1: ComplexDivisor, d2: ComplexDivisor) -> float:
     """Relative defect of norm(d1, d2) = norm(d2, d1), from the exponents."""
     forward = pairing_norm(mc, d1, d2).exponent
     backward = pairing_norm(mc, d2, d1).exponent
-    return _exponent_defect(backward, forward)
+    return _ratio_defect(backward - forward)

@@ -470,7 +470,7 @@ def _check_theta_quasi_periodicity(ctx: _Ctx) -> float:
 def _check_divisor_group_laws(ctx: _Ctx) -> int:
     mc, d1, d2 = _pairing_instance(ctx.rng)
     d3 = -(d1 + d2)
-    zero = mc.empty_divisor()
+    zero = ComplexDivisor(mc)
     return (
         ((d1 + d2) + d3 != d1 + (d2 + d3))
         + (d1 + zero != d1 or zero + d1 != d1)

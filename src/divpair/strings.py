@@ -31,6 +31,7 @@ RATIONALIZE_DENOMINATOR = 10**9
 __all__ = ["MomentumConfig", "StringFactor", "momentum_divisor", "string_pairing_factor"]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class MomentumConfig:
     """n on-shell momentum vectors in C^13.
 
@@ -38,11 +39,11 @@ class MomentumConfig:
     Hermitian square of every vector (within 1e-12).
     """
 
-    __slots__ = ("momenta",)
+    momenta: Iterable[Sequence[complex]]
 
-    def __init__(self, momenta: Iterable[Sequence[complex]]):
+    def __post_init__(self):
         rows = []
-        for vector in momenta:
+        for vector in self.momenta:
             row = tuple(complex(c) for c in vector)
             if len(row) != DIMENSION:
                 raise DomainError(f"momentum vectors must have {DIMENSION} components")
@@ -58,9 +59,6 @@ class MomentumConfig:
             if abs(square - 1.0) > MASS_TOL:
                 raise DomainError("momentum vector must have unit Hermitian square")
         object.__setattr__(self, "momenta", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentumConfig is immutable")
 
     def __len__(self) -> int:
         return len(self.momenta)

@@ -466,7 +466,7 @@ def test_green_divisor_closed_form():
 def test_green_divisor_empty_and_linearity_in_coefficients():
     s = Sphere()
     mc = MarkedCurve(s, [2.0, -2.0])
-    assert green_divisor(s, mc.empty_divisor(), 1) == 0
+    assert green_divisor(s, ComplexDivisor(mc), 1) == 0
     i = GaussianRational(0, 1)
     d = ComplexDivisor(mc, marked={0: i, 1: -i})
     value = green_divisor(s, d, 1)
@@ -515,7 +515,7 @@ def test_abel_jacobi_rejects_sphere():
     s = Sphere()
     mc = MarkedCurve(s)
     with pytest.raises(TrivialJacobianError):
-        abel_jacobi_sum(s, mc.empty_divisor())
+        abel_jacobi_sum(s, ComplexDivisor(mc))
 
 
 def test_kernel_log_singularity_strength():
@@ -552,6 +552,33 @@ def test_torus_point_reduction_and_equality():
     assert 0 <= a < 1 and 0 <= b < 1
     assert t.points_equal(p, CurvePoint(2.6 + 3.3j))
     assert not t.points_equal(p, CurvePoint(p.z + 0.1))
+
+
+@pytest.mark.parametrize("tau", [0.5 + 0.0001j, -0.25 + 0.01j])
+def test_reduce_point_keeps_the_decimal_grid_inside_the_cell(tau):
+    # y / Im tau is an integer at every x + yi of the two-decimal grid: each point lies on
+    # the cell edge b = 0, where z - floor(a) - floor(b) tau rounds to b just below 1 or 0
+    t = Torus(tau)
+    grid = [round(-1 + k / 100, 2) for k in range(301)]
+    for x in grid:
+        for y in grid:
+            z = complex(x, y)
+            stored = t.reduce_point(z).z
+            a, b = t.lattice_coords(stored)
+            assert 0 <= a < 1 and b == 0.0, (z, a, b)
+            assert t.points_equal(stored, z)
+
+
+def test_reduce_point_off_the_cell_edges_is_the_floor_representative():
+    rng = random.Random(27)
+    for _ in range(2000):
+        tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-4, 2))
+        t = Torus(tau)
+        z = t.from_lattice_coords(rng.uniform(-50, 50), rng.uniform(-50, 50))
+        a, b = t.lattice_coords(z)
+        if min(abs(a - round(a)), abs(b - round(b))) < 1e-9:
+            continue
+        assert t.reduce_point(z).z == z - math.floor(a) - math.floor(b) * tau
 
 
 @pytest.mark.parametrize("curve", [Sphere(), Torus(0.3 + 1.1j)])

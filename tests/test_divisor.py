@@ -497,3 +497,15 @@ def test_coincidence_rule_matches_the_point_scans(curve):
             items.append((CurvePoint(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))), rng.randint(-2, 2)))
         rng.shuffle(items)
         assert RationalFunctionData(curve, items).zeros_poles == _scan_function_parts(curve, items)
+
+
+def test_inputs_of_one_edge_point_give_one_class():
+    # 0.8 and 2.3 + 0.0003i name one point of this thin torus, on the cell edge b = 0
+    t = Torus(0.5 + 0.0001j)
+    c = GaussianRational(Fraction(1, 2), Fraction(1, 3))
+    curves = [MarkedCurve(t, [mark, 0.1 + 0.00005j]) for mark in (0.8, 2.3 + 0.0003j)]
+    assert curves[0].compatible_with(curves[1])
+    assert [t.lattice_coords(mc.marks[0].z)[1] for mc in curves] == [0.0, 0.0]
+    first, second = (class_invariant(mc, ComplexDivisor(mc, {0: c, 1: -c})) for mc in curves)
+    assert first.matches(second)
+    assert abs(first.jacobian - second.jacobian) < 1e-12

@@ -139,7 +139,7 @@ def test_multiplicator_examples():
     mc = MarkedCurve(Sphere(), [0.0, 1.0])
     half = ComplexDivisor(mc, marked={0: GaussianRational(Fraction(1, 2)), 1: GaussianRational(Fraction(1, 2))})
     assert abs(multiplicator(mc, half, 0) + 1.0) < 1e-15
-    empty = mc.empty_divisor()
+    empty = ComplexDivisor(mc)
     assert multiplicator(mc, empty, 0) == 1.0
     imag = ComplexDivisor(mc, marked={0: I, 1: -I})
     assert abs(multiplicator(mc, imag, 0) - math.exp(-2 * math.pi)) < 1e-15

@@ -335,7 +335,7 @@ def test_bimultiplicativity_and_symmetry():
     d2 = ComplexDivisor(mc, marked={2: I, 3: -I})
     k = ComplexDivisor(mc, marked={4: 1, 5: -1})
     assert check_bimultiplicativity(mc, d1, d2, k) < 1e-12
-    empty = mc.empty_divisor()
+    empty = ComplexDivisor(mc)
     assert check_bimultiplicativity(mc, d1, empty, k) < 1e-15
     assert check_symmetry(mc, d1, d2) < 1e-13
 
