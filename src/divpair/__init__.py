@@ -61,7 +61,6 @@ from .pairing import (
     check_symmetry,
     check_weil_reciprocity,
     hermitian_form,
-    pairing_exponent,
     pairing_norm,
     self_pairing_exponent,
     weil_symbol,

@@ -27,13 +27,14 @@ import math
 import sys
 
 from . import __version__
-from .curve import CurvePoint, Sphere, Torus, green_divisor
+from .curve import Sphere, Torus, green_divisor
 from .divisor import ComplexDivisor, MarkedCurve, class_invariant
 from .errors import DivpairError, DomainError, ParseError
 from .grammar import (
     format_complex,
     parse_complex,
     parse_divisor,
+    parse_point,
     parse_rational_function_spec,
 )
 from .mvf import JACOBI_LATTICE_TOL, PERIOD_TOL, is_principal
@@ -169,11 +170,10 @@ _Report = tuple[dict, dict, dict, bool]
 def _cmd_green(args) -> _Report:
     mc, inputs = _build_marked_curve(args)
     d = parse_divisor(args.divisor, mc)
-    at = args.at.strip()
-    point = CurvePoint.infinity() if at.lower() == "inf" else parse_complex(at)
+    point = parse_point(args.at)
     value = green_divisor(mc.curve, d, point)
     inputs["divisor"] = _describe_divisor(d)
-    inputs["at"] = point if isinstance(point, complex) else "inf"
+    inputs["at"] = point.z
     outputs = {"value": value, "real": value.real, "imag": value.imag}
     metadata = {"kernel": "log-distance" if args.curve == "sphere" else "theta1"}
     return inputs, outputs, metadata, True

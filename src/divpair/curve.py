@@ -15,13 +15,15 @@ ambiguity of either kernel drops out of every degree-zero divisor sum.
 A point at infinity on the sphere is permitted only inside degree-zero
 divisors; kernel terms at infinity are dropped from divisor sums rather
 than assigned an arbitrary chart normalization, so no kernel value at
-infinity is ever defined here.
+infinity is ever defined here.  The torus has no point at infinity, and
+every coordinate and tau is finite (DomainError otherwise).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -71,9 +73,12 @@ class CurvePoint:
     at_infinity: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
+        z = complex(self.z)
         if self.at_infinity:
-            object.__setattr__(self, "z", 0j)
+            z = 0j
+        elif not cmath.isfinite(z):
+            raise DomainError(f"point coordinate must be finite, not {z!r}")
+        object.__setattr__(self, "z", z)
 
     @staticmethod
     def infinity() -> "CurvePoint":
@@ -167,7 +172,7 @@ class Sphere(CurveModel):
 
     def _reduce_pairs(self, left, right) -> tuple[np.ndarray, np.ndarray]:
         """The differences themselves, and their moduli as ``abs`` rounds them; infinity apart."""
-        w = _pair_differences(left, right)
+        w = _pair_differences([p.z for p in left], [q.z for q in right])
         distance = np.hypot(w.real, w.imag)
         left_inf = np.array([p.at_infinity for p in left], dtype=bool)[:, None]
         right_inf = np.array([q.at_infinity for q in right], dtype=bool)[None, :]
@@ -241,10 +246,7 @@ class Torus(CurveModel):
         integer, and the representative's coordinate is exactly 0 (``lattice_coords`` of it reads 0.0),
         so every input of a point on a cell edge gets one representative inside the cell.
         """
-        p = as_point(p)
-        if p.at_infinity:
-            raise DomainError("the torus has no point at infinity")
-        z, tau = p.z, self.tau
+        z, tau = _torus_coordinate(p), self.tau
         b = z.imag / tau.imag
         kb = round(b)
         b_edge = abs(b - kb) <= EDGE_RTOL * max(1.0, abs(b))
@@ -284,12 +286,13 @@ class Torus(CurveModel):
         return self.point_distance(p, q) < self.point_tol
 
     def point_distance(self, p, q) -> float:
-        return self.lattice_defect(as_point(p).z - as_point(q).z)
+        return self.lattice_defect(_torus_coordinate(p) - _torus_coordinate(q))
 
     def _reduce_pairs(self, left, right) -> tuple[np.ndarray, np.ndarray]:
         """The centring of every s*(P_i - Q_j) (``_centred``) and the lattice distances
         ``lattice_defect`` takes from its centred points, with its roundings."""
-        centring = self._centred(_pair_differences(left, right))
+        centring = self._centred(_pair_differences([_torus_coordinate(p) for p in left],
+                                                   [_torus_coordinate(q) for q in right]))
         tau, x, y = self._reduced_tau, centring["z"].real, centring["z"].imag
         nearest = np.hypot(x, y)
         for k in (-1, 0, 1):
@@ -297,7 +300,8 @@ class Torus(CurveModel):
         return nearest / abs(self._scale), centring
 
     def kernel(self, p, q) -> float:
-        return float(self._kernel_values(self._centred(np.array([as_point(p).z - as_point(q).z])))[0])
+        w = _torus_coordinate(p) - _torus_coordinate(q)
+        return float(self._kernel_values(self._centred(np.array([w])))[0])
 
     def _centred(self, w: np.ndarray) -> np.ndarray:
         """Centre every difference of the complex array w on the reduced lattice, in one array pass.
@@ -410,7 +414,17 @@ def _require_upper_half(tau: complex) -> complex:
     tau = complex(tau)
     if not tau.imag > 0:
         raise DomainError("tau must have positive imaginary part")
+    if not cmath.isfinite(tau):
+        raise DomainError(f"tau must be finite, not {tau!r}")
     return tau
+
+
+def _torus_coordinate(p) -> complex:
+    """The affine coordinate of a point (or complex number) on a torus, which has no point at infinity."""
+    p = as_point(p)
+    if p.at_infinity:
+        raise DomainError("the torus has no point at infinity")
+    return p.z
 
 
 def _reduce_modulus(tau: complex) -> tuple[complex, complex, complex, complex]:
@@ -424,7 +438,8 @@ def _reduce_modulus(tau: complex) -> tuple[complex, complex, complex, complex]:
     Re c = -1/2 sum log|tau_k| over the S-step moduli tau_k, so the kernel of
     tau is the kernel of tau' at s*z plus Re c.  A reduced tau returns
     (tau, 1, 0, 0).  An S step raises Im tau by 1/|tau|^2 > 1; the 1e-12
-    slack stops rounding cycles.
+    slack stops rounding cycles.  Below the least normal float |tau|^2 has
+    lost digits or is 0, and -1/tau is Python's scaled complex division.
     """
     log_constant, scale, quadratic = 0j, 1 + 0j, 0j
     while True:
@@ -437,14 +452,12 @@ def _reduce_modulus(tau: complex) -> tuple[complex, complex, complex, complex]:
         log_constant += 0.5j * math.pi - 0.5 * cmath.log(-1j * tau)
         quadratic -= 1j * math.pi * scale * scale / tau
         scale /= tau
-        tau = complex(-tau.real / norm, tau.imag / norm)
+        tau = complex(-tau.real / norm, tau.imag / norm) if norm >= sys.float_info.min else -1 / tau
 
 
-def _pair_differences(left, right) -> np.ndarray:
-    """P_i - Q_j over two CurvePoint sequences; numpy's complex ``-`` rounds each part as Python's does."""
-    p = np.array([point.z for point in left], dtype=complex)
-    q = np.array([point.z for point in right], dtype=complex)
-    return p[:, None] - q[None, :]
+def _pair_differences(left: list[complex], right: list[complex]) -> np.ndarray:
+    """P_i - Q_j over two coordinate lists; numpy's complex ``-`` rounds each part as Python's does."""
+    return np.array(left, dtype=complex)[:, None] - np.array(right, dtype=complex)[None, :]
 
 
 def theta1(z: complex, tau: complex) -> complex:

@@ -349,9 +349,6 @@ class ComplexDivisor:
             object.__setattr__(self, "_support", tuple(support))
         return list(self._support)
 
-    def support_points(self) -> list[CurvePoint]:
-        return [self.mc.marks[i] for i, _ in self.marked] + [p for p, _ in self.integral]
-
     def has_integer_coefficients(self) -> bool:
         return all(coeff.is_integer() for _, coeff in self.marked)
 

@@ -238,12 +238,8 @@ def _boundary_offset(values: list[float]) -> tuple[float, float]:
     Any offset in that open interval leaves every value in a single unit strip below the
     contour, which is what keeps the branch windings of the period integrals
     coefficient-independent; the midpoint maximizes the quadrature clearance.  The values
-    are the stored lattice coordinates, in [0, 1) up to rounding: a point a rounding below
-    0 stays there, so the gap is not closed by wrapping it to 1.  Only values spanning a
-    full period or more (two points on opposite copies of one cell edge) are taken mod 1.
+    are the stored lattice coordinates, which lie in [0, 1) (``Torus.reduce_point``).
     """
-    if max(values) - min(values) >= 1.0:
-        values = [value % 1.0 for value in values]
     high = max(values)
     offset = (high + min(values) + 1.0) / 2.0
     return offset, offset - high
@@ -268,6 +264,8 @@ def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> _Cy
     _STEPS_PER_PANEL * _panel_count steps, which integrates the linear term of the
     log-derivative exactly.
     """
+    if not items:
+        return _CyclePeriods(0j, 0j, math.inf, 0, 0.0, 0.0)
     tau = torus.tau
     coords = [torus.lattice_coords(point.z) for point, _ in items]
     a0, gap_a = _boundary_offset([a for a, _ in coords])
@@ -302,21 +300,7 @@ def monodromy_certificate(mc: MarkedCurve, d: ComplexDivisor) -> PrincipalityCer
     deg = d.degree()
     raw = abel_jacobi_sum(torus, d)
     jacobi_defect = torus.lattice_defect(raw)
-    items = d.support_items()
-    if not items:
-        return PrincipalityCertificate(
-            principal=deg == 0,
-            degree=deg,
-            jacobi_defect=jacobi_defect,
-            a_period=0j,
-            b_period=0j,
-            correction=0j,
-            period_defect=0.0,
-            periods_integral=True,
-            quadrature_nodes=0,
-            quadrature_error=0.0,
-        )
-    periods = _cycle_periods(torus, items)
+    periods = _cycle_periods(torus, d.support_items())
     a_raw, b_raw = periods.a, periods.b
     two_pi_i = 2j * math.pi
     nu = (b_raw - a_raw * torus.tau) / two_pi_i

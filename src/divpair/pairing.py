@@ -43,7 +43,6 @@ __all__ = [
     "weil_symbol",
     "check_weil_reciprocity",
     "pairing_norm",
-    "pairing_exponent",
     "self_pairing_exponent",
     "hermitian_form",
     "check_scaling_laws",
@@ -264,19 +263,6 @@ def _pairing_matrix(
     if (distance <= DISJOINT_TOL).any():
         raise DisjointSupportError()
     return _coefficients(items1), _coefficients(items2), kernel + shift * defined
-
-
-def pairing_exponent(
-    mc: MarkedCurve,
-    d1: ComplexDivisor,
-    d2: ComplexDivisor,
-    formula: str = "ad3",
-    *,
-    kernel_shift: float = 0.0,
-) -> float:
-    """Exponent of the pairing norm under the named formula arrangement."""
-    contract = _contraction(formula)
-    return float(contract(*_pairing_matrix(mc, d1, d2, kernel_shift)))
 
 
 def pairing_norm(

@@ -447,7 +447,7 @@ def _check_green_linearity(ctx: _Ctx) -> float:
     curve = mc.curve
     both = d1 + d2
     # the sphere's distance to infinity is infinite, so infinity never blocks a draw
-    z = _point_away(ctx.rng, curve, both.support_points(), 0.1)
+    z = _point_away(ctx.rng, curve, [point for point, _ in both.support_items()], 0.1)
     if z is None:
         return 0.0
     split = green_divisor(curve, d1, z) + green_divisor(curve, d2, z)

@@ -491,6 +491,15 @@ def test_green_at_infinity_is_domain_error(capsys):
     assert "infinity" in err
 
 
+def test_green_at_a_mark_reference_is_a_parse_error(capsys):
+    # --at takes a point token, inf or a complex literal, not a mark
+    code, _, err = run(
+        capsys, "green", "--curve", "sphere", "--marks", "1,2", "--divisor", "1@Q1,-1@Q2", "--at", "Q1"
+    )
+    assert code == EXIT_PARSE
+    assert "parse error" in err
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

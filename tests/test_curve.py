@@ -20,7 +20,7 @@ from divpair import (
     green_kernel,
     is_principal,
     kernel_matrix,
-    pairing_exponent,
+    pairing_norm,
     theta1,
     theta1_log_derivative,
 )
@@ -389,7 +389,7 @@ def test_green_kernel_and_pairing_are_invariant_under_modular_words():
             mc = MarkedCurve(curve)
             d1 = ComplexDivisor(mc, integral=list(zip(zs[:2], weights[0])))
             d2 = ComplexDivisor(mc, integral=list(zip(zs[2:], weights[1])))
-            exponents.append(pairing_exponent(mc, d1, d2))
+            exponents.append(pairing_norm(mc, d1, d2).exponent)
         assert abs(exponents[0] - exponents[1]) < 1e-11
 
 
@@ -614,6 +614,76 @@ def test_kernel_matrix_torus_lattice_translate_is_coincident():
     assert not defined[0, 0] and kernel[0, 0] == 0.0
     assert distance[0, 0] < TORUS_POINT_TOL
     assert defined[0, 1]
+
+
+def test_non_finite_points_and_tau_are_domain_errors():
+    nan = float("nan")
+    for z in (nan, complex(0.5, nan), complex(math.inf, 0.0), complex(0.0, -math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            CurvePoint(z)
+    for tau in (complex(0.0, math.inf), complex(math.inf, 1.0), complex(nan, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            Torus(tau)
+    # once masked as undefined pairs and dropped, or a crash in the torus centring
+    sphere, torus = MarkedCurve(Sphere()), Torus(0.1 + 1.1j)
+    d2 = ComplexDivisor(sphere, integral=[(2, 1), (3, -1)])
+    with pytest.raises(DomainError):
+        ComplexDivisor(sphere, integral=[(nan, 1), (0.5, -1)])
+    with pytest.raises(DomainError):
+        green_divisor(sphere.curve, d2, nan)
+    with pytest.raises(DomainError):
+        kernel_matrix(torus, [nan], [0.2])
+    with pytest.raises(DomainError):
+        green_kernel(torus, nan, 0.2)
+
+
+def test_the_torus_has_no_point_at_infinity():
+    # once g(0, 0.3 + 0.2i) through the coordinate 0j that CurvePoint.infinity() carries
+    t, inf, q = Torus(0.1 + 1.1j), CurvePoint.infinity(), 0.3 + 0.2j
+    for call in (lambda: green_kernel(t, inf, q), lambda: kernel_matrix(t, [q], [inf]), lambda: t.kernel(inf, q),
+                 lambda: t.point_distance(q, inf), lambda: t.points_equal(inf, q), lambda: t.reduce_point(inf)):
+        with pytest.raises(DomainError, match="no point at infinity"):
+            call()
+
+
+@pytest.mark.parametrize("y", [1e-160, 1e-200, 1e-300])
+def test_a_tiny_tau_evaluates(y):
+    # |tau|^2 is subnormal or 0: the S step of the modulus reduction divides by tau itself.
+    # On tau = iy the point w = -0.1 - tau/2 is centred at -1/2 + 0.1i/y on tau' = i/y, where
+    # log|S| = 0 to rounding, so g(w, 0) = -0.16 pi/y - log(y)/2
+    t = Torus(1j * y)
+    w = -0.1 - 0.5 * t.tau
+    expected = -0.16 * math.pi / y - 0.5 * math.log(y)
+    value = green_kernel(t, w, 0)
+    assert abs(value - expected) <= 1e-14 * abs(expected)
+    assert kernel_matrix(t, [w], [0])[0][0, 0] == value
+    assert t.point_distance(w, 0) == pytest.approx(0.1)
+    assert cmath.isfinite(theta1_log_derivative(w, t.tau))
+
+
+def test_reduce_point_near_the_cell_edges_stays_inside_the_cell():
+    # the certificate's seam offset takes the stored coordinates as lying in [0, 1): points
+    # within 1e-18 to 1e-12 of an edge or a corner, on tau with Im tau from 1e-6 to 1e3 and
+    # Re tau from -3 to 3, some rounded to decimals
+    rng = random.Random(28)
+    for _ in range(300):
+        t = Torus(complex(rng.uniform(-3, 3), 10 ** rng.uniform(-6, 3)))
+        for _ in range(30):
+            a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            edge = rng.randrange(3)
+            if edge != 1:
+                a = float(rng.randint(-3, 3))
+            if edge != 0:
+                b = float(rng.randint(-3, 3))
+            offset = rng.choice((-1, 1)) * 10 ** rng.uniform(-18, -12) * cmath.exp(2j * math.pi * rng.random())
+            z = t.from_lattice_coords(a, b) + offset
+            if rng.random() < 0.25:
+                digits = rng.randint(2, 8)
+                z = complex(round(z.real, digits), round(z.imag, digits))
+            stored = t.reduce_point(z)
+            a, b = t.lattice_coords(stored.z)
+            assert 0 <= a < 1 and 0 <= b < 1, (t.tau, z, a, b)
+            assert t.points_equal(stored, z)
 
 
 def count_calls(monkeypatch, cls, names):

@@ -12,6 +12,7 @@ from divpair import (
     GaussianRational,
     LocalExpansion,
     MarkedCurve,
+    PrincipalityCertificate,
     Sphere,
     Torus,
     expansion_multiply,
@@ -197,7 +198,11 @@ def test_is_principal_torus_lattice_test():
     same = ComplexDivisor(mc, integral=[(0.2, 1), (0.2 + 1 + 1j, -1)])
     assert same.is_empty()  # lattice-equal points cancel outright
     cert2 = is_principal(mc, same)
-    assert cert2.principal and cert2.periods_integral
+    # zero periods on zero nodes, through the same decision as any other support
+    assert cert2 == PrincipalityCertificate(
+        principal=True, degree=0, jacobi_defect=0.0, a_period=0j, b_period=0j, correction=0j,
+        period_defect=0.0, periods_integral=True, quadrature_nodes=0, quadrature_error=0.0,
+    )
 
 
 def test_monodromy_certificate_integer_principal():
@@ -241,7 +246,7 @@ def test_monodromy_certificate_support_near_cell_seam():
                 principal = ComplexDivisor(mc, integral=[(p, 2), (r, -1), (2 * p - r, -1)], marked=marked)
                 other = ComplexDivisor(mc, integral=[(p, 2), (r, -1), (2 * p - r + shift, -1)], marked=other_marked)
                 for d, expected in ((principal, True), (other, False)):
-                    assert min(seam_gaps(t, d.support_points())) == pytest.approx(clearance)
+                    assert min(seam_gaps(t, d.support_items())) == pytest.approx(clearance)
                     cert = is_principal(mc, d)
                     assert cert.principal is expected and cert.periods_integral is expected
                     if expected:
@@ -288,15 +293,15 @@ def panel_steps(length_over_distance):
     return 32 * min(max(24, math.ceil(length_over_distance / 4)), 4096)
 
 
-def seam_gaps(t, points):
-    """Half the seam gap, (min + 1 - max) / 2, of each stored lattice coordinate of the points."""
-    return [(min(v) + 1 - max(v)) / 2 for v in zip(*(t.lattice_coords(point.z) for point in points))]
+def seam_gaps(t, items):
+    """Half the seam gap, (min + 1 - max) / 2, of each stored lattice coordinate of a support's points."""
+    return [(min(v) + 1 - max(v)) / 2 for v in zip(*(t.lattice_coords(point.z) for point, _ in items))]
 
 
 def contour_steps(t, items):
     """(a-contour, b-contour) steps: the a-contour (length 1) passes the poles at gap_b * Im tau,
     the b-contour (length |tau|) at gap_a * Im tau / |tau|."""
-    gap_a, gap_b = seam_gaps(t, [point for point, _ in items])
+    gap_a, gap_b = seam_gaps(t, items)
     tau = t.tau
     return panel_steps(1 / (gap_b * tau.imag)), panel_steps(abs(tau) ** 2 / (gap_a * tau.imag))
 

@@ -191,17 +191,6 @@ def test_function_values_centre_each_difference_once(monkeypatch):
     assert shapes == [(4, 4)]
 
 
-def test_pairing_exponent_matches_norm():
-    from divpair import pairing_exponent
-
-    mc = MarkedCurve(Sphere())
-    d1 = ComplexDivisor(mc, integral=[(1, 1), (-1, -1)])
-    d2 = ComplexDivisor(mc, integral=[(2, 1), (-2, -1)])
-    for formula in ("ad", "adsym", "ad3"):
-        exponent = pairing_exponent(mc, d1, d2, formula)
-        assert abs(math.exp(exponent) - pairing_norm(mc, d1, d2, formula).norm) < 1e-15
-
-
 def test_torus_rational_function_needs_lattice_sum():
     t = Torus(1j)
     with pytest.raises(DomainError):
