@@ -29,7 +29,7 @@ import sys
 from . import __version__
 from .curve import Sphere, Torus, green_divisor
 from .divisor import ComplexDivisor, MarkedCurve, class_invariant
-from .errors import DivpairError, DomainError, ParseError
+from .errors import DomainError, ParseError
 from .grammar import (
     format_complex,
     parse_complex,
@@ -170,7 +170,7 @@ _Report = tuple[dict, dict, dict, bool]
 def _cmd_green(args) -> _Report:
     mc, inputs = _build_marked_curve(args)
     d = parse_divisor(args.divisor, mc)
-    point = parse_point(args.at)
+    point = parse_point(args.at, mc)
     value = green_divisor(mc.curve, d, point)
     inputs["divisor"] = _describe_divisor(d)
     inputs["at"] = point.z
@@ -212,7 +212,7 @@ def _cmd_reciprocity(args) -> _Report:
     gz, gp, gc = parse_rational_function_spec(args.g)
     f = RationalFunctionData.from_zeros_poles(curve, fz, fp, fc)
     g = RationalFunctionData.from_zeros_poles(curve, gz, gp, gc)
-    residual = check_weil_reciprocity(f, g, mc)
+    residual = check_weil_reciprocity(f, g)
     threshold = RECIPROCITY_TOL * tolerance_scale()
     inputs["f"] = args.f
     inputs["g"] = args.g
@@ -406,9 +406,6 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DivpairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as exc:  # contract: no tracebacks on bad input
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

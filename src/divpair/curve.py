@@ -29,7 +29,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegreeZeroRequiredError, DiagonalSingularityError, DomainError, TrivialJacobianError
+from .errors import (
+    ContextMismatchError, DegreeZeroRequiredError, DiagonalSingularityError, DomainError, TrivialJacobianError
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .divisor import ComplexDivisor
@@ -551,6 +553,8 @@ def green_divisor(curve: CurveModel, d: "ComplexDivisor", z) -> complex:
     infinity are dropped: the affine evaluation is the documented meaning
     of the sum for divisors containing the point at infinity.
     """
+    if curve != d.mc.curve:
+        raise ContextMismatchError("divisor lives on another curve")
     if d.degree() != 0:
         raise DegreeZeroRequiredError()
     zp = as_point(z)
@@ -572,4 +576,6 @@ def abel_jacobi_sum(curve: CurveModel, d: "ComplexDivisor") -> complex:
     """
     if not isinstance(curve, Torus):
         raise TrivialJacobianError()
+    if curve != d.mc.curve:
+        raise ContextMismatchError("divisor lives on another curve")
     return sum((coeff * point.z for point, coeff in d.support_items()), 0j)

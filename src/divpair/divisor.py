@@ -102,11 +102,12 @@ class GaussianRational:
         return GaussianRational(value)
 
     @staticmethod
-    def from_complex(value: complex, max_denominator: int = 10**9) -> "GaussianRational":
+    def from_complex(value: complex) -> "GaussianRational":
+        """Each part of ``value`` as its closest fraction with denominator at most 10**9."""
         value = complex(value)
         return GaussianRational(
-            Fraction(value.real).limit_denominator(max_denominator),
-            Fraction(value.imag).limit_denominator(max_denominator),
+            Fraction(value.real).limit_denominator(10**9),
+            Fraction(value.imag).limit_denominator(10**9),
         )
 
     def __add__(self, other):
@@ -260,6 +261,13 @@ class MarkedCurve:
         return f"MarkedCurve({self.curve!r}, marks={list(self.marks)!r})"
 
 
+def _require_context(mc: MarkedCurve, *divisors: "ComplexDivisor") -> None:
+    """ContextMismatchError unless every divisor lives on ``mc``: on it, or on a compatible copy."""
+    for d in divisors:
+        if d.mc is not mc and not mc.compatible_with(d.mc):
+            raise ContextMismatchError()
+
+
 @dataclass(frozen=True, slots=True, init=False, eq=False)
 class ComplexDivisor:
     """Formal sum of points: Gaussian-rational coefficients on the marks,
@@ -285,7 +293,7 @@ class ComplexDivisor:
         self,
         mc: MarkedCurve,
         marked: Mapping[int, object] | Iterable[tuple[int, object]] | None = None,
-        integral: Mapping[CurvePoint, int] | Iterable[tuple[object, int]] | None = None,
+        integral: Iterable[tuple[object, object]] | None = None,
     ):
         curve, n_marks = mc.curve, mc.n_marks
         # the marks first, then the integral points: an entry's index below n_marks is a mark
@@ -299,8 +307,7 @@ class ComplexDivisor:
                 mark, coeff = entries[index]
                 entries[index] = (mark, coeff + GaussianRational.coerce(value))
         if integral:
-            items = integral.items() if isinstance(integral, Mapping) else integral
-            for raw_point, value in items:
+            for raw_point, value in integral:
                 point = as_point(raw_point)
                 coeff = GaussianRational.coerce(value)
                 if coeff.is_zero():
@@ -357,14 +364,8 @@ class ComplexDivisor:
     # are already reduced and off the marks, and no two points of one
     # operand coincide.
 
-    def _require_same_context(self, other: "ComplexDivisor") -> None:
-        if self.mc is other.mc:
-            return
-        if not self.mc.compatible_with(other.mc):
-            raise ContextMismatchError()
-
     def __add__(self, other: "ComplexDivisor") -> "ComplexDivisor":
-        self._require_same_context(other)
+        _require_context(self.mc, other)
         coeffs = dict(self.marked)
         for index, coeff in other.marked:
             coeffs[index] = coeffs[index] + coeff if index in coeffs else coeff
@@ -500,6 +501,7 @@ def class_invariant(mc: MarkedCurve, d: ComplexDivisor) -> ClassDescriptor:
     Sphere: the degree.  Torus: the degree together with the
     coefficient-weighted coordinate sum reduced to the fundamental cell.
     """
+    _require_context(mc, d)
     if isinstance(mc.curve, Torus):
         raw = abel_jacobi_sum(mc.curve, d)
         reduced = mc.curve.reduce_point(raw).z

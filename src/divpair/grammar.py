@@ -83,41 +83,30 @@ def parse_complex(text: str) -> complex:
         raise ParseError(f"complex literal out of float range: {text.strip()!r}") from None
 
 
-def parse_point(text: str, mc: MarkedCurve | None = None):
-    """A point token: complex literal, ``inf``, or mark reference ``Qk``.
-
-    Returns a CurvePoint, or an integer mark index for ``Qk`` tokens.
-    """
+def parse_point(text: str, mc: MarkedCurve) -> CurvePoint:
+    """A point token: complex literal, ``inf``, or mark reference ``Qk``, the k-th mark of ``mc``."""
     s = text.strip()
     if s.lower() == "inf":
         return CurvePoint.infinity()
     if s and s[0] in "qQ" and s[1:].isdigit():
         index = int(s[1:]) - 1
-        if mc is None or not 0 <= index < mc.n_marks:
+        if not 0 <= index < mc.n_marks:
             raise ParseError(f"mark reference out of range: {text!r}")
-        return index
+        return mc.marks[index]
     return CurvePoint(parse_complex(s))
 
 
 def parse_divisor(text: str, mc: MarkedCurve) -> ComplexDivisor:
-    """Divisor literal over the given marked curve."""
+    """Divisor literal over the given marked curve; ``integral=`` folds a term on a mark into the marked part."""
     body = text.strip()
-    if not body:
-        return ComplexDivisor(mc)
-    marked: list[tuple[int, GaussianRational]] = []
-    integral: list[tuple[CurvePoint, object]] = []
-    for term in body.split(","):
+    terms = []
+    for term in body.split(",") if body else ():
         if term.count("@") != 1:
             raise ParseError(f"malformed divisor term: {term.strip()!r}")
         coeff_text, point_text = term.split("@")
         coeff = parse_gaussian_rational(coeff_text)
-        target = parse_point(point_text, mc)
-        if isinstance(target, int):
-            marked.append((target, coeff))
-        else:
-            # the constructor folds mark-coincident points into the marked part
-            integral.append((target, coeff))
-    return ComplexDivisor(mc, marked=marked, integral=integral)
+        terms.append((parse_point(point_text, mc), coeff))
+    return ComplexDivisor(mc, integral=terms)
 
 
 def parse_rational_function_spec(text: str):

@@ -28,7 +28,7 @@ from .curve import (
     abel_jacobi_sum,
     as_point,
 )
-from .divisor import JACOBI_LATTICE_TOL, ComplexDivisor, GaussianRational, MarkedCurve
+from .divisor import JACOBI_LATTICE_TOL, ComplexDivisor, GaussianRational, MarkedCurve, _require_context
 from .errors import DomainError
 
 MAX_SERIES_TERMS = 32
@@ -137,6 +137,7 @@ def _exp_two_pi_i(n: GaussianRational) -> complex:
 def multiplicator(mc: MarkedCurve, d: ComplexDivisor, index: int) -> complex:
     """Loop multiplicator exp(2*pi*i*n) for the divisor coefficient n at mark `index`;
     exactly 1.0 for an integral n (``_exp_two_pi_i``)."""
+    _require_context(mc, d)
     return _exp_two_pi_i(d.marked_coefficient(index))
 
 
@@ -161,6 +162,7 @@ class GlueingData:
 
 
 def glueing_data(mc: MarkedCurve, d: ComplexDivisor) -> GlueingData:
+    _require_context(mc, d)
     values = tuple(multiplicator(mc, d, i) for i in range(mc.n_marks))
     product = math.prod(values, start=1.0 + 0j)
     expected = _exp_two_pi_i(d.marked_degree())
@@ -248,7 +250,6 @@ def _boundary_offset(values: list[float]) -> tuple[float, float]:
 class _CyclePeriods(NamedTuple):
     a: complex
     b: complex
-    clearance: float
     nodes: int  # integrand nodes over both contours
     a_error: float  # |T_N - T_{N/2}| on each contour
     b_error: float
@@ -265,7 +266,7 @@ def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> _Cy
     log-derivative exactly.
     """
     if not items:
-        return _CyclePeriods(0j, 0j, math.inf, 0, 0.0, 0.0)
+        return _CyclePeriods(0j, 0j, 0, 0.0, 0.0)
     tau = torus.tau
     coords = [torus.lattice_coords(point.z) for point, _ in items]
     a0, gap_a = _boundary_offset([a for a, _ in coords])
@@ -283,7 +284,7 @@ def _cycle_periods(torus: Torus, items: list[tuple[CurvePoint, complex]]) -> _Cy
     # (length |tau|) at gap_a * Im tau / |tau|
     a_period, a_error, a_nodes = period(torus.from_lattice_coords(0.0, b0), 1.0 + 0j, 1.0 / (gap_b * tau.imag))
     b_period, b_error, b_nodes = period(torus.from_lattice_coords(a0, 0.0), tau, abs(tau) ** 2 / (gap_a * tau.imag))
-    return _CyclePeriods(a_period, b_period, min(gap_a, gap_b), a_nodes + b_nodes, a_error, b_error)
+    return _CyclePeriods(a_period, b_period, a_nodes + b_nodes, a_error, b_error)
 
 
 def monodromy_certificate(mc: MarkedCurve, d: ComplexDivisor) -> PrincipalityCertificate:
@@ -294,6 +295,7 @@ def monodromy_certificate(mc: MarkedCurve, d: ComplexDivisor) -> PrincipalityCer
     period in 2*pi*i*Z, and tests whether the second corrected period is
     in 2*pi*i*Z as well.
     """
+    _require_context(mc, d)
     torus = mc.curve
     if not isinstance(torus, Torus):
         raise DomainError("monodromy certificates require a torus")
@@ -333,6 +335,7 @@ def is_principal(mc: MarkedCurve, d: ComplexDivisor) -> PrincipalityCertificate:
     in the lattice (within JACOBI_LATTICE_TOL); the returned certificate
     additionally carries the contour-integration monodromy evidence.
     """
+    _require_context(mc, d)
     if isinstance(mc.curve, Sphere):
         return PrincipalityCertificate(principal=d.degree() == 0, degree=d.degree())
     return monodromy_certificate(mc, d)

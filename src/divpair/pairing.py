@@ -30,11 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import CurveModel, CurvePoint, Sphere, Torus, _exp_in_range, as_point, kernel_matrix
-from .divisor import JACOBI_LATTICE_TOL, ComplexDivisor, GaussianRational, MarkedCurve, _integral_part
+from .divisor import (
+    JACOBI_LATTICE_TOL, ComplexDivisor, GaussianRational, MarkedCurve, _integral_part, _require_context
+)
 from .errors import ContextMismatchError, DegreeZeroRequiredError, DisjointSupportError, DomainError
 
 DISJOINT_TOL = 1e-7
-FORMULAS = ("ad", "adsym", "ad3")
 
 __all__ = [
     "RationalFunctionData",
@@ -92,9 +93,8 @@ class RationalFunctionData:
         constant = complex(leading_constant)
         if constant == 0:
             raise DomainError("leading constant must be nonzero")
-        items = zeros_poles.items() if hasattr(zeros_poles, "items") else zeros_poles
         merged: list[tuple[CurvePoint, int]] = []
-        for raw_point, mult in items:
+        for raw_point, mult in zeros_poles:
             point = as_point(raw_point)
             mult = int(mult)
             if mult == 0:
@@ -185,13 +185,13 @@ def weil_symbol(f: RationalFunctionData, d: ComplexDivisor) -> complex:
     return _exp_in_range(_log_weil_symbol(f, d), "the Weil symbol")
 
 
-def check_weil_reciprocity(f: RationalFunctionData, g: RationalFunctionData, mc: MarkedCurve | None = None) -> float:
+def check_weil_reciprocity(f: RationalFunctionData, g: RationalFunctionData) -> float:
     """|f(div g) / g(div f) - 1|; below 1e-9 for a passing pair.
 
     ``_ratio_defect`` of the log symbols' difference: defined where either symbol
     leaves the float range, inf where the ratio does.
     """
-    return _ratio_defect(_log_weil_symbol(f, g.divisor(mc)) - _log_weil_symbol(g, f.divisor(mc)))
+    return _ratio_defect(_log_weil_symbol(f, g.divisor()) - _log_weil_symbol(g, f.divisor()))
 
 
 def _ratio_defect(delta: complex) -> float:
@@ -234,6 +234,7 @@ _EXPONENTS = {
     "adsym": lambda n, m, g: 0.5 * (n.conj() @ g @ m).real + 0.5 * (m.conj() @ g.T @ n).real,
     "ad3": lambda n, m, g: np.sum(np.outer(n, m.conj()).real * g),
 }
+FORMULAS = tuple(_EXPONENTS)
 
 
 def _contraction(formula: str):
@@ -251,11 +252,12 @@ def _pairing_matrix(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficient vectors of two pairable divisors and their kernel matrix.
 
-    Checks that both have degree zero and disjoint supports.  Sphere terms
-    at infinity stay 0 (degree zero of the opposite operand makes the
-    affine sum the documented value); ``shift`` is added on the defined
-    entries only.
+    Checks that both live on ``mc`` and have degree zero and disjoint
+    supports.  Sphere terms at infinity stay 0 (degree zero of the opposite
+    operand makes the affine sum the documented value); ``shift`` is added
+    on the defined entries only.
     """
+    _require_context(mc, d1, d2)
     if d1.degree() != 0 or d2.degree() != 0:
         raise DegreeZeroRequiredError()
     items1, items2 = d1.support_items(), d2.support_items()
@@ -296,6 +298,7 @@ def self_pairing_exponent(mc: MarkedCurve, d: ComplexDivisor) -> float:
     The coincident pairs diverge and are skipped; this is the documented
     regularization used by the string measure factor.
     """
+    _require_context(mc, d)
     if d.degree() != 0:
         raise DegreeZeroRequiredError()
     items = d.support_items()

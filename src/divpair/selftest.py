@@ -47,6 +47,7 @@ from .mvf import (
     power_product_orders,
 )
 from .pairing import (
+    FORMULAS,
     RationalFunctionData,
     check_weil_reciprocity,
     hermitian_form,
@@ -322,8 +323,8 @@ def _string_instance(ctx: _Ctx):
     return mc, _random_momentum_config(ctx.rng, ctx.np_rng, n)
 
 
-def _dyadic(rng: random.Random, grid: int = 1024) -> float:
-    return rng.randrange(grid) / grid
+def _dyadic(rng: random.Random) -> float:
+    return rng.randrange(1024) / 1024
 
 
 def _random_expansion(rng: random.Random) -> LocalExpansion:
@@ -605,10 +606,7 @@ def _check_class_vs_principal(ctx: _Ctx) -> float:
 @_declare("pairing.formula_equivalence", 1e-12)
 def _check_formula_equivalence(ctx: _Ctx) -> float:
     mc, d1, d2 = _pairing_instance(ctx.rng, allow_infinity=True)
-    exponents = [
-        pairing_norm(mc, d1, d2, formula).exponent
-        for formula in ("ad", "adsym", "ad3")
-    ]
+    exponents = [pairing_norm(mc, d1, d2, formula).exponent for formula in FORMULAS]
     # the largest pairwise gap is max - min, and inf when an exponent is NaN
     return _largest(*(abs(a - b) for a in exponents for b in exponents))
 
@@ -631,7 +629,7 @@ def _check_reciprocity_sphere(ctx: _Ctx) -> float:
 @_declare("pairing.weil_reciprocity_torus", 1e-9, per=5)
 def _check_reciprocity_torus(ctx: _Ctx) -> float:
     torus = Torus(_random_tau(ctx.rng))
-    return check_weil_reciprocity(*_torus_rational_pair(ctx.rng, torus), MarkedCurve(torus))
+    return check_weil_reciprocity(*_torus_rational_pair(ctx.rng, torus))
 
 
 @_declare("pairing.hermitian_properties", 1e-12)

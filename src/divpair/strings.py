@@ -26,7 +26,6 @@ DIMENSION = 13
 CONSERVATION_TOL = 1e-12
 MASS_TOL = 1e-12
 RATIONALIZE_TOL = 1e-9
-RATIONALIZE_DENOMINATOR = 10**9
 
 __all__ = ["MomentumConfig", "StringFactor", "momentum_divisor", "string_pairing_factor"]
 
@@ -81,10 +80,7 @@ def momentum_divisor(mc: MarkedCurve, cfg: MomentumConfig, nu: int) -> ComplexDi
     n = len(cfg)
     if mc.n_marks != n:
         raise DomainError("marks and momenta counts must match")
-    coeffs = [
-        GaussianRational.from_complex(cfg.momenta[i][nu], RATIONALIZE_DENOMINATOR)
-        for i in range(n - 1)
-    ]
+    coeffs = [GaussianRational.from_complex(cfg.momenta[i][nu]) for i in range(n - 1)]
     last = GaussianRational(0)
     for coeff in coeffs:
         last = last - coeff

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -491,13 +492,32 @@ def test_green_at_infinity_is_domain_error(capsys):
     assert "infinity" in err
 
 
-def test_green_at_a_mark_reference_is_a_parse_error(capsys):
-    # --at takes a point token, inf or a complex literal, not a mark
-    code, _, err = run(
-        capsys, "green", "--curve", "sphere", "--marks", "1,2", "--divisor", "1@Q1,-1@Q2", "--at", "Q1"
-    )
-    assert code == EXIT_PARSE
-    assert "parse error" in err
+def test_green_at_a_mark_reference_evaluates_at_that_mark(capsys):
+    # --at takes any point token: off the support, Q3 reads as its literal; on it, Q1 is the pole
+    argv = ["green", "--curve", "sphere", "--marks", "1,2,5", "--divisor", "1@Q1,-1@Q2", "--at"]
+    code, out, _ = run(capsys, *argv, "Q3")
+    assert code == EXIT_PASS
+    assert (code, out) == run(capsys, *argv, "5")[:2]
+    code, out, err = run(capsys, *argv, "Q1")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "diagonal singularity" in err
+
+
+def test_readme_usage_lines_run(capsys, tmp_path, monkeypatch):
+    # each line of README's usage block, with its momentum config as momenta.json, runs in-process
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    config = readme.split("### Momentum config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "momenta.json").write_text(config, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = usage.strip().splitlines()
+    assert len(lines) >= 8
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "divpair"
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PASS, (line, err)
+        assert len(out.splitlines()) == 1 and json.loads(out)["status"] == "pass", line
 
 
 def test_version_flag(capsys):

@@ -19,8 +19,16 @@ from divpair import (
     RationalFunctionData,
     Sphere,
     Torus,
+    abel_jacobi_sum,
     class_invariant,
+    glueing_data,
+    green_divisor,
+    hermitian_form,
     is_principal,
+    monodromy_certificate,
+    multiplicator,
+    pairing_norm,
+    self_pairing_exponent,
 )
 from divpair.curve import as_point
 
@@ -84,6 +92,54 @@ def test_divisor_add_requires_same_context():
     d2 = ComplexDivisor(mc2, marked={0: 1})
     with pytest.raises(ContextMismatchError):
         d1 + d2
+
+
+TORUS_MARKS = [0.2 + 0.3j, 0.6 + 0.7j, 0.4 + 0.1j, 0.8 + 0.5j]
+TORUS_MC = MarkedCurve(Torus(0.1 + 1.1j), TORUS_MARKS)
+SPHERE_MC = MarkedCurve(Sphere(), TORUS_MARKS)
+OTHER_TORUS_MC = MarkedCurve(Torus(0.1 + 1.2j), TORUS_MARKS)
+D1 = ComplexDivisor(TORUS_MC, marked=[(0, 1), (1, -1)])
+D2 = ComplexDivisor(TORUS_MC, marked=[(2, 1), (3, -1)])
+E1 = ComplexDivisor(SPHERE_MC, marked=[(0, 1), (1, -1)])
+
+# every call passes a marked curve, or a curve, that is not the context of one of its divisors
+FOREIGN_CONTEXT_CALLS = {
+    "pairing_norm": lambda: pairing_norm(SPHERE_MC, D1, D2),
+    "pairing_norm_first_operand": lambda: pairing_norm(TORUS_MC, E1, D2),
+    "hermitian_form": lambda: hermitian_form(TORUS_MC, D1, E1),
+    "self_pairing_exponent": lambda: self_pairing_exponent(SPHERE_MC, D1),
+    "is_principal_sphere": lambda: is_principal(SPHERE_MC, D1),
+    "is_principal_torus": lambda: is_principal(OTHER_TORUS_MC, D1),
+    "monodromy_certificate": lambda: monodromy_certificate(OTHER_TORUS_MC, D1),
+    "class_invariant": lambda: class_invariant(SPHERE_MC, D1),
+    "multiplicator": lambda: multiplicator(SPHERE_MC, D1, 0),
+    "glueing_data": lambda: glueing_data(SPHERE_MC, D1),
+    "green_divisor": lambda: green_divisor(Sphere(), D1, 0.5),
+    "abel_jacobi_sum": lambda: abel_jacobi_sum(OTHER_TORUS_MC.curve, D1),
+}
+
+
+@pytest.mark.parametrize("name", FOREIGN_CONTEXT_CALLS)
+def test_a_divisor_from_another_context_is_rejected(name):
+    with pytest.raises(ContextMismatchError):
+        FOREIGN_CONTEXT_CALLS[name]()
+
+
+def test_a_copied_context_is_accepted():
+    copy = pickle.loads(pickle.dumps(TORUS_MC))
+    assert copy is not TORUS_MC
+    assert pairing_norm(copy, D1, D2).exponent == pairing_norm(TORUS_MC, D1, D2).exponent
+    assert is_principal(copy, D1 - D1).principal
+    assert green_divisor(copy.curve, D1, 0.5) == green_divisor(TORUS_MC.curve, D1, 0.5)
+
+
+def test_integral_and_zeros_poles_take_pairs_not_mappings():
+    s = Sphere()
+    points = {CurvePoint(0.5): 1, CurvePoint(2): -1}
+    with pytest.raises(TypeError):
+        ComplexDivisor(MarkedCurve(s), integral=points)
+    with pytest.raises(TypeError):
+        RationalFunctionData(s, points)
 
 
 def test_divisor_scale_examples():

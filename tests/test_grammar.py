@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from divpair import (
+    ComplexDivisor,
     GaussianRational,
     MarkedCurve,
     ParseError,
     Sphere,
+    Torus,
     parse_complex,
     parse_divisor,
     parse_gaussian_rational,
@@ -53,6 +55,24 @@ def test_parse_divisor_mark_coincidence():
     d = parse_divisor("2@0.5", mc)
     assert not d.integral
     assert d.marked_coefficient(0) == GaussianRational(2)
+
+
+@pytest.mark.parametrize(
+    "curve, marks, text",
+    [
+        (Sphere(), [0.5, 1.5, -2j], "1/2+2i@Q1,-1/3@Q2,-1/6-2i@Q3"),
+        (Torus(0.1 + 1.1j), [0.2 + 0.3j, 0.6 + 0.7j, 0.4 + 0.1j, 0.8 + 0.5j], "1@Q1,-1@Q2,i@q3,-i@Q4,1/2@Q3,-1/2@Q1"),
+        # marks on the edges of a thin cell, one of them referenced twice
+        (Torus(0.5 + 0.0001j), [0.8, 0.1 + 0.00005j], "1/3+i@Q1,-1/3-i@Q2,2@Q2,-2@Q1"),
+    ],
+)
+def test_mark_references_parse_to_the_marked_part(curve, marks, text):
+    mc = MarkedCurve(curve, marks)
+    terms = [term.split("@") for term in text.split(",")]
+    expected = ComplexDivisor(mc, marked=[(int(k[1:]) - 1, parse_gaussian_rational(c)) for c, k in terms])
+    d = parse_divisor(text, mc)
+    assert d == expected
+    assert d.marked == expected.marked and not d.integral
 
 
 def test_parse_divisor_errors():
