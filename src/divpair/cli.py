@@ -5,12 +5,12 @@ Each invocation prints exactly one report document, the envelope
 subcommand and ``status`` is ``pass`` or ``fail``.  The default format
 is JSON with sorted keys and 17-significant-digit floats, so identical
 invocations (including ``--seed``) are byte-identical; ``--format csv``
-flattens the envelope into ``key,value`` rows, quoting a value that holds
-a comma, a double quote or a line break (RFC 4180).  Complex values are
-emitted as the same literals the argument grammar accepts.  A norm or
-factor whose exponential leaves the float range is emitted as ``null`` and
-named in the report's ``out_of_range`` list; no report carries an ``inf``
-or ``nan``.
+flattens the envelope into ``key,value`` rows, one per leaf and one with an
+empty value per empty list or object, quoting a value that holds a comma,
+a double quote or a line break (RFC 4180).  Complex values are emitted
+as the same literals the argument grammar accepts.  A norm or factor whose
+exponential leaves the float range is emitted as ``null`` and named in the
+report's ``out_of_range`` list; no report carries an ``inf`` or ``nan``.
 
 Exit codes: 0 when the status is pass, 1 when it is fail (a property or
 an agreement check failed), 2 parse error, 3 domain error; an error
@@ -38,13 +38,7 @@ from .grammar import (
     parse_rational_function_spec,
 )
 from .mvf import JACOBI_LATTICE_TOL, PERIOD_TOL, is_principal
-from .pairing import (
-    FORMULAS,
-    RationalFunctionData,
-    check_weil_reciprocity,
-    pairing_norm,
-    tolerance_scale,
-)
+from .pairing import FORMULAS, RECIPROCITY_TOL, RationalFunctionData, check_weil_reciprocity, pairing_norm
 from .strings import MomentumConfig, string_pairing_factor
 
 EXIT_PASS = 0
@@ -52,7 +46,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
-RECIPROCITY_TOL = 1e-9
 FORMULA_AGREEMENT_TOL = 1e-12  # times max(1, |exponent|)
 
 
@@ -84,21 +77,22 @@ def _canonical(value) -> str:
 
 
 def _flatten(value, prefix: str = ""):
-    if isinstance(value, dict):
+    """(key, rendered value) rows: one per leaf, and an empty-valued one per empty list or object."""
+    if isinstance(value, dict) and value:
         for k, v in sorted(value.items(), key=lambda kv: str(kv[0])):
             yield from _flatten(v, f"{prefix}{k}.")
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)) and value:
         for i, v in enumerate(value):
             yield from _flatten(v, f"{prefix}{i}.")
     else:
-        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        if value is None or isinstance(value, (dict, list, tuple)) or (
+            isinstance(value, (float, complex)) and not cmath.isfinite(value)
+        ):
             rendered = ""
         elif isinstance(value, float):
             rendered = format(value, ".17g")
         elif isinstance(value, complex):
             rendered = format_complex(value)
-        elif value is None:
-            rendered = ""
         else:
             rendered = str(value)
         yield prefix.rstrip("."), rendered
@@ -190,7 +184,7 @@ def _cmd_pairing(args) -> _Report:
     primary = results[formulas[-1]]
     norm = _in_range(primary.norm)
     # relative once |exponent| > 1: beyond 2^13 an absolute 1e-12 is below one ulp
-    agreement_tol = FORMULA_AGREEMENT_TOL * tolerance_scale() * max(1.0, abs(primary.exponent))
+    agreement_tol = FORMULA_AGREEMENT_TOL * max(1.0, abs(primary.exponent))
     inputs["d1"] = _describe_divisor(d1)
     inputs["d2"] = _describe_divisor(d2)
     outputs = {
@@ -213,10 +207,9 @@ def _cmd_reciprocity(args) -> _Report:
     f = RationalFunctionData.from_zeros_poles(curve, fz, fp, fc)
     g = RationalFunctionData.from_zeros_poles(curve, gz, gp, gc)
     residual = check_weil_reciprocity(f, g)
-    threshold = RECIPROCITY_TOL * tolerance_scale()
     inputs["f"] = args.f
     inputs["g"] = args.g
-    return inputs, {"residual": residual}, {"threshold": threshold}, residual < threshold
+    return inputs, {"residual": residual}, {"threshold": RECIPROCITY_TOL}, residual < RECIPROCITY_TOL
 
 
 def _cmd_class(args) -> _Report:
@@ -306,7 +299,7 @@ def _cmd_selftest(args) -> _Report:
             )
     inputs = {"seed": report.seed, "cases": report.cases}
     outputs = {"properties": rows, "all_passed": report.passed}
-    return inputs, outputs, {"tolerance_scale": tolerance_scale()}, report.passed
+    return inputs, outputs, {}, report.passed
 
 
 # --- parser -------------------------------------------------------------------

@@ -251,10 +251,12 @@ class MarkedCurve:
         return len(self.marks)
 
     def compatible_with(self, other: "MarkedCurve") -> bool:
-        if self.curve != other.curve or len(self.marks) != len(other.marks):
-            return False
-        return all(
-            self.curve.points_equal(p, q) for p, q in zip(self.marks, other.marks)
+        """Same curve and, mark by mark, coincident marks (``points_equal``); a copy with
+        the same stored marks answers without the per-mark test."""
+        if self is other:
+            return True
+        return self.curve == other.curve and len(self.marks) == len(other.marks) and (
+            self.marks == other.marks or all(map(self.curve.points_equal, self.marks, other.marks))
         )
 
     def __repr__(self):
@@ -264,7 +266,7 @@ class MarkedCurve:
 def _require_context(mc: MarkedCurve, *divisors: "ComplexDivisor") -> None:
     """ContextMismatchError unless every divisor lives on ``mc``: on it, or on a compatible copy."""
     for d in divisors:
-        if d.mc is not mc and not mc.compatible_with(d.mc):
+        if not mc.compatible_with(d.mc):
             raise ContextMismatchError()
 
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +34,7 @@ from .divisor import (
 from .errors import ContextMismatchError, DegreeZeroRequiredError, DisjointSupportError, DomainError
 
 DISJOINT_TOL = 1e-7
+RECIPROCITY_TOL = 1e-9
 
 __all__ = [
     "RationalFunctionData",
@@ -50,27 +49,6 @@ __all__ = [
     "check_bimultiplicativity",
     "check_symmetry",
 ]
-
-
-def tolerance_scale() -> float:
-    """Multiplier applied to every pass threshold (DIVPAIR_TOL, default 1): the selftest's
-    and those of the CLI's pairing and reciprocity checks.
-
-    Read afresh on every call.  A value that is not a positive finite
-    number is rejected with a RuntimeWarning (shown on stderr) and 1 is
-    used instead.
-    """
-    raw = os.environ.get("DIVPAIR_TOL")
-    if raw is None:
-        return 1.0
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if 0 < value < math.inf:
-        return value
-    warnings.warn(f"ignoring DIVPAIR_TOL={raw!r}: not a positive finite number; using 1.0", RuntimeWarning)
-    return 1.0
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
@@ -186,7 +164,7 @@ def weil_symbol(f: RationalFunctionData, d: ComplexDivisor) -> complex:
 
 
 def check_weil_reciprocity(f: RationalFunctionData, g: RationalFunctionData) -> float:
-    """|f(div g) / g(div f) - 1|; below 1e-9 for a passing pair.
+    """|f(div g) / g(div f) - 1|; below RECIPROCITY_TOL for a passing pair.
 
     ``_ratio_defect`` of the log symbols' difference: defined where either symbol
     leaves the float range, inf where the ratio does.

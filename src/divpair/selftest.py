@@ -3,9 +3,8 @@
 Every invariant of every module is checked on seeded random instances and
 reported as one row of a residual table.  Instance generation is fully
 deterministic in the seed, so identical invocations produce identical
-reports.  The pass thresholds default to the library's documented values
-and can be scaled (for exploratory runs only) through the DIVPAIR_TOL
-environment variable.
+reports.  Each pass threshold is a fixed constant, declared once with its
+property, and every row states its residual beside that threshold.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .divisor import (
 )
 from .errors import DomainError
 from .mvf import (
+    PERIOD_TOL,
     LocalExpansion,
     expansion_multiply,
     is_principal,
@@ -48,12 +48,12 @@ from .mvf import (
 )
 from .pairing import (
     FORMULAS,
+    RECIPROCITY_TOL,
     RationalFunctionData,
     check_weil_reciprocity,
     hermitian_form,
     pairing_norm,
     self_pairing_exponent,
-    tolerance_scale,
 )
 from .strings import DIMENSION, MomentumConfig, momentum_divisor, string_pairing_factor
 
@@ -66,7 +66,6 @@ __all__ = [
     "PropertyResult",
     "SelftestReport",
     "run_selftest",
-    "tolerance_scale",
 ]
 
 
@@ -565,7 +564,7 @@ def _check_multiplicator_homomorphism(ctx: _Ctx) -> float:
     return _largest(*map(defect, range(3)))
 
 
-@_declare("mvf.class_vs_principal", 1e-6, per=5, least=4)
+@_declare("mvf.class_vs_principal", PERIOD_TOL, per=5, least=4)
 def _check_class_vs_principal(ctx: _Ctx) -> float:
     torus = Torus(_random_tau(ctx.rng))
     make_equal = ctx.case % 2 == 0
@@ -621,12 +620,12 @@ def _check_kernel_constant_independence(ctx: _Ctx) -> float:
     ))
 
 
-@_declare("pairing.weil_reciprocity_sphere", 1e-9)
+@_declare("pairing.weil_reciprocity_sphere", RECIPROCITY_TOL)
 def _check_reciprocity_sphere(ctx: _Ctx) -> float:
     return check_weil_reciprocity(*_sphere_rational_pair(ctx.rng))
 
 
-@_declare("pairing.weil_reciprocity_torus", 1e-9, per=5)
+@_declare("pairing.weil_reciprocity_torus", RECIPROCITY_TOL, per=5)
 def _check_reciprocity_torus(ctx: _Ctx) -> float:
     torus = Torus(_random_tau(ctx.rng))
     return check_weil_reciprocity(*_torus_rational_pair(ctx.rng, torus))
@@ -700,8 +699,7 @@ def run_property(name: str, seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES
         raise DomainError(f"the case count must be at least 1, got {cases}")
     threshold, check = _PROPERTIES[name]
     residual = check(_Ctx(seed, name, cases))
-    scaled = threshold * tolerance_scale()
-    return PropertyResult(name, cases, residual, scaled, residual < scaled)
+    return PropertyResult(name, cases, residual, threshold, residual < threshold)
 
 
 def run_selftest(seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES) -> SelftestReport:

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -12,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import divpair
+from divpair import cli, selftest
 from divpair.cli import EXIT_DOMAIN, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, main
 from divpair.grammar import format_complex, parse_complex
 from divpair.mvf import JACOBI_LATTICE_TOL, PERIOD_TOL
-from divpair.selftest import tolerance_scale
 
 
 def run(capsys, *argv):
@@ -276,7 +275,7 @@ def test_csv_quotes_values_with_line_breaks(capsys, line_break):
 
 
 # A torus pairing whose three formulas differ by one rounding (1.1e-16), so it fails
-# once DIVPAIR_TOL shrinks the agreement tolerance below that.
+# once the agreement tolerance is below that.
 TORUS_DISCREPANCY = [
     "pairing", "--curve", "torus", "--tau", "0.1+1.27i",
     "--d1", "1@0.83+0.74i,-1@0.26+0.17i", "--d2", "1@0.69+0.72i,-1@0.48+0.76i",
@@ -284,7 +283,7 @@ TORUS_DISCREPANCY = [
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("argv, tol, expected", [
+@pytest.mark.parametrize("argv, agreement_tol, expected", [
     (["green", "--curve", "sphere", "--divisor", "1@2,-1@-2", "--at", "1"], None, "pass"),
     (["pairing", "--curve", "sphere", "--d1", "1@1,-1@-1", "--d2", "1@2,-1@-2"], None, "pass"),
     (["reciprocity", "--curve", "sphere", "--f", "zeros:0;poles:2", "--g", "zeros:1;poles:3"], None, "pass"),
@@ -292,19 +291,17 @@ TORUS_DISCREPANCY = [
     (["string-factor", "--config", "{config}"], None, "pass"),
     (["selftest", "--seed", "42", "--cases", "5"], None, "pass"),
     (TORUS_DISCREPANCY, None, "pass"),
-    (TORUS_DISCREPANCY, "1e-30", "fail"),
+    (TORUS_DISCREPANCY, 0.0, "fail"),
 ], ids=["green", "pairing", "reciprocity", "class", "string-factor", "selftest",
         "pairing-torus", "pairing-torus-fail"])
-def test_every_command_prints_one_envelope(capsys, monkeypatch, tmp_path, fmt, argv, tol, expected):
+def test_every_command_prints_one_envelope(capsys, monkeypatch, tmp_path, fmt, argv, agreement_tol, expected):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "curve": "sphere", "marks": ["0", "3"],
         "momenta": [["1"] + ["0"] * 12, ["-1"] + ["0"] * 12],
     }), encoding="utf-8")
-    if tol is None:
-        monkeypatch.delenv("DIVPAIR_TOL", raising=False)
-    else:
-        monkeypatch.setenv("DIVPAIR_TOL", tol)
+    if agreement_tol is not None:
+        monkeypatch.setattr(cli, "FORMULA_AGREEMENT_TOL", agreement_tol)
     argv = [arg.replace("{config}", str(config)) for arg in argv]
     code, out, _ = run(capsys, "--format", fmt, *argv)
     if fmt == "json":
@@ -328,35 +325,42 @@ def test_every_command_prints_one_envelope(capsys, monkeypatch, tmp_path, fmt, a
         assert float(discrepancy) > 0
 
 
-def test_tolerance_scale_env(capsys, monkeypatch):
-    monkeypatch.setenv("DIVPAIR_TOL", "10")
-    code, out, _ = run(capsys, "selftest", "--seed", "42", "--cases", "5")
-    assert code == EXIT_PASS
-    report = json.loads(out)
-    assert report["metadata"]["tolerance_scale"] == 10.0
+def _report_paths(value, prefix=""):
+    """Every leaf and every empty list or object of a JSON report, as a dotted path."""
+    if isinstance(value, dict) and value:
+        return {path for k, v in value.items() for path in _report_paths(v, f"{prefix}{k}.")}
+    if isinstance(value, list) and value:
+        return {path for i, v in enumerate(value) for path in _report_paths(v, f"{prefix}{i}.")}
+    return {prefix.rstrip(".")}
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-1", "nan", "inf"])
-def test_invalid_tolerance_scale_warns_and_falls_back(monkeypatch, raw):
-    monkeypatch.setenv("DIVPAIR_TOL", raw)
-    with pytest.warns(RuntimeWarning, match=re.escape(f"DIVPAIR_TOL={raw!r}")):
-        assert tolerance_scale() == 1.0
+@pytest.mark.parametrize("argv", [
+    ["pairing", "--curve", "sphere", "--d1", "1@1,-1@-1", "--d2", "1@2,-1@-2"],
+    ["selftest", "--seed", "42", "--cases", "2"],
+], ids=["pairing", "selftest"])
+def test_csv_rows_name_every_leaf_and_empty_container_of_the_json_report(capsys, argv):
+    # the pairing report holds an empty d1.marked, d2.marked and out_of_range; selftest an empty metadata
+    _, out, _ = run(capsys, *argv)
+    _, csv_out, _ = run(capsys, "--format", "csv", *argv)
+    rows = dict(list(csv.reader(io.StringIO(csv_out, newline="")))[1:])
+    assert set(rows) == _report_paths(json.loads(out))
+    empty = {"metadata", "outputs.out_of_range"} & set(rows)
+    assert empty and all(rows[key] == "" for key in empty)
 
 
-def test_invalid_tolerance_scale_goes_to_stderr_only():
-    argv = [
-        sys.executable, "-m", "divpair.cli", "reciprocity", "--curve", "sphere",
-        "--f", "zeros:0;poles:2", "--g", "zeros:1;poles:3",
-    ]
+def test_divpair_tol_has_no_effect():
+    # no environment variable scales a pass threshold: 1e-30 would fail every check it scaled
     env = dict(os.environ, PYTHONPATH=str(Path(divpair.__file__).parents[1]))
     env.pop("DIVPAIR_TOL", None)
-    clean = subprocess.run(argv, env=env, capture_output=True, check=True)
-    invalid = subprocess.run(
-        argv, env={**env, "DIVPAIR_TOL": "abc"}, capture_output=True, check=True
-    )
-    assert invalid.stdout == clean.stdout
-    assert b"DIVPAIR_TOL='abc'" in invalid.stderr
-    assert b"DIVPAIR_TOL" not in clean.stderr
+    for argv in (
+        ["reciprocity", "--curve", "sphere", "--f", "zeros:0;poles:2", "--g", "zeros:1;poles:3"],
+        ["selftest", "--seed", "42", "--cases", "5"],
+    ):
+        argv = [sys.executable, "-m", "divpair.cli", *argv]
+        clean = subprocess.run(argv, env=env, capture_output=True)
+        scaled = subprocess.run(argv, env={**env, "DIVPAIR_TOL": "1e-30"}, capture_output=True)
+        assert clean.returncode == scaled.returncode == EXIT_PASS
+        assert scaled.stdout == clean.stdout
 
 
 @pytest.mark.parametrize("request_argv", [
@@ -535,8 +539,8 @@ def test_selftest_non_positive_cases_is_a_parse_error(capsys, cases):
 
 
 def test_selftest_property_failure_exits_1(capsys, monkeypatch):
-    # shrinking every threshold below float noise forces residual failures
-    monkeypatch.setenv("DIVPAIR_TOL", "1e-30")
+    # a NaN kernel fails kernel_symmetry
+    monkeypatch.setattr(selftest, "green_kernel", lambda curve, p, q: math.nan)
     code, out, err = run(capsys, "selftest", "--seed", "42", "--cases", "5")
     assert code == 1
     assert json.loads(out)["status"] == "fail"

@@ -133,6 +133,19 @@ def test_a_copied_context_is_accepted():
     assert green_divisor(copy.curve, D1, 0.5) == green_divisor(TORUS_MC.curve, D1, 0.5)
 
 
+def test_a_context_or_its_copy_is_compatible_without_comparing_marks(monkeypatch):
+    # identity, then structural equality of curve and stored marks, answer before the per-mark loop
+    torus = Torus(0.3 + 1.1j)
+    mc = MarkedCurve(torus, [complex(k / 31, k / 37) for k in range(30)])
+    d = ComplexDivisor(mc, marked=[(0, 1), (29, -1)])
+    calls = []
+    compare = Torus.points_equal
+    monkeypatch.setattr(Torus, "points_equal", lambda self, p, q: calls.append(1) or compare(self, p, q))
+    assert d == d
+    assert d + pickle.loads(pickle.dumps(d)) == d.scale(GaussianRational(2))
+    assert calls == []
+
+
 def test_integral_and_zeros_poles_take_pairs_not_mappings():
     s = Sphere()
     points = {CurvePoint(0.5): 1, CurvePoint(2): -1}
